@@ -65,25 +65,25 @@ class GainProfile:
             if any(g > self.peak_gain_dB for _, g in self.table):
                 raise ValidationError("table gain exceeds peak_gain_dB")
 
-    def gain_db(self, wavelength_nm: float) -> float:
+    def gain_db(self, wavelength_nm: float | np.ndarray) -> np.ndarray:
+        """Gain (dB) at each wavelength (nm); accepts a scalar or an array."""
+        wl = np.asarray(wavelength_nm, dtype=float)
         if self.shape == "flat":
-            return self.peak_gain_dB
+            return np.full(wl.shape, self.peak_gain_dB)
         if self.shape == "parabolic":
-            off = wavelength_nm - self.center_nm
+            off = wl - self.center_nm
             return self.peak_gain_dB - self.curvature_dB_per_nm2 * off * off
         lo, hi = self.table[0][0], self.table[-1][0]
-        if not (lo <= wavelength_nm <= hi):
-            raise EvaluationError(
-                f"wavelength {wavelength_nm} nm outside tabulated range [{lo}, {hi}]"
-            )
-        wl = [w for w, _ in self.table]
-        gains = [g for _, g in self.table]
-        return float(np.interp(wavelength_nm, wl, gains))
+        bad = wl[~((lo <= wl) & (wl <= hi))]
+        if bad.size:
+            raise EvaluationError(f"wavelength {bad[0]} nm outside tabulated range [{lo}, {hi}]")
+        wls, gains = zip(*self.table)
+        return np.interp(wl, wls, gains)
 
 
 def evaluate_gain(profile: GainProfile, wavelength_nm: float) -> float:
     """Linear gain ratio of an amplifier at the given wavelength."""
-    return db_to_linear(profile.gain_db(wavelength_nm))
+    return float(db_to_linear(profile.gain_db(wavelength_nm)))
 
 
 @dataclass(frozen=True)
@@ -197,54 +197,53 @@ class SystemMatrix:
         return self.gamma.shape[0]
 
 
-def span_ase(span: Span, channel: ChannelSpec) -> float:
-    """ASE power (mW) one amplifier adds into the channel's bandwidth.
+def _ase_mw(span: Span, wavelength_nm: np.ndarray, gain: np.ndarray, ids) -> np.ndarray:
+    """ASE power (mW) one amplifier adds into each channel's bandwidth.
 
     Uses 2 * nsp * h * nu * (G - 1) * B_o unless the span carries a fixed
-    override. An attenuating "amplifier" (G < 1) contributes no ASE.
+    override. An attenuating "amplifier" (G < 1) contributes no ASE; one
+    warning gives the count of clamped channels and their first few ids.
     """
     if span.ase.fixed_ase_mW is not None:
-        return span.ase.fixed_ase_mW
-    gain = evaluate_gain(span.gain_profile, channel.wavelength_nm)
-    if gain < 1.0:
-        warnings.warn(
-            f"channel {channel.id}: amplifier gain {gain:.3g} < 1, clamping ASE at 0",
-            stacklevel=2,
-        )
-        return 0.0
-    nu = SPEED_OF_LIGHT_M_S / (channel.wavelength_nm * 1e-9)
+        return np.full(wavelength_nm.shape, span.ase.fixed_ase_mW)
+    clamped = gain < 1.0
+    if np.any(clamped):
+        hit = np.flatnonzero(clamped)
+        shown = ", ".join(str(ids[k]) for k in hit[:5]) + (", ..." if len(hit) > 5 else "")
+        warnings.warn(f"amplifier gain < 1 for {len(hit)} channel(s) (ids {shown}), "
+                      "clamping their ASE at 0", stacklevel=3)
+    nu = SPEED_OF_LIGHT_M_S / (wavelength_nm * 1e-9)
     ase_w = 2.0 * span.ase.nsp * PLANCK_J_S * nu * (gain - 1.0) * (
         span.ase.optical_bandwidth_GHz * 1e9
     )
-    return ase_w * 1e3
+    return np.where(clamped, 0.0, ase_w * 1e3)
 
 
-def _cumulative_products(link: Link, wavelength_nm: float) -> np.ndarray:
-    """Per-span cumulative gain*loss products through the link for one wavelength.
-
-    Entry k-1 is the product over spans 1..k of G * L in linear units; the
-    last entry is the whole-link transmission product.
-    """
-    out = np.empty(len(link.spans))
-    acc = 1.0
-    for k, span in enumerate(link.spans):
-        acc *= evaluate_gain(span.gain_profile, wavelength_nm) * db_to_linear(
-            -span.loss_dB
-        )
-        out[k] = acc
-    return out
+def span_ase(span: Span, channel: ChannelSpec) -> float:
+    """ASE power (mW) one amplifier adds into the channel's bandwidth."""
+    wl = np.array([channel.wavelength_nm])
+    gain = db_to_linear(span.gain_profile.gain_db(wl))
+    return float(_ase_mw(span, wl, gain, [channel.id])[0])
 
 
 def build_system_matrix(
     network: LinkNetwork, channels: list[ChannelSpec]
 ) -> SystemMatrix:
-    """Accumulate per-span ASE contributions into the coupling matrix.
+    """Coupling matrix gamma (N x N, mW/mW) and noise vector n0 (mW).
 
-    For each span k of each link l on channel i's route, every channel j
-    co-propagating on l receives a contribution weighted by the ratio of
-    cumulative gains through span k and by the transmission-product ratios
-    of the links earlier on i's route, normalized by the amplifier output
-    power of l.
+    Per link l with K spans, over all N channels (linear units):
+        C_l = cumprod over spans of G_l * L_l   (K x N, gain * loss)
+        W_l = ASE_l / (P_l * C_l)               (K x N, ASE and output power P_l in mW)
+        T_l = C_l[-1]                           (N, whole-link transmission)
+    For the rows R of the channels sharing one route, at each link l of it
+    in order, with the |R| x N prefix starting at 1:
+        gamma[R] += prefix * (W_l[:, R].T @ C_l) * on_l
+        prefix[i, j] *= T_l[j] / T_l[i]
+    on_l marks the channels routed over l. Only routed links are evaluated,
+    at every wavelength, because the prefix needs T_l for every column.
+    Warns once per span whose gain is < 1 for a channel routed through it.
+    Bad channel lists (ValidationError) and unknown links (TopologyError)
+    raise before any evaluation.
     """
     if not channels:
         raise ValidationError("empty channel list")
@@ -252,32 +251,32 @@ def build_system_matrix(
     ids = [c.id for c in channels]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate channel ids")
+    rows_by_route: dict[tuple[int, ...], list[int]] = {}
+    for i, c in enumerate(channels):
+        rows_by_route.setdefault(c.route, []).append(i)
+    links = {lid: network.link(lid) for route in rows_by_route for lid in route}
 
-    for c in channels:
-        for lid in c.route:
-            network.link(lid)
-
-    # cumulative gain*loss per (link, channel wavelength), computed once
-    cum: dict[tuple[int, int], np.ndarray] = {}
-    for link in network.links:
-        for j, c in enumerate(channels):
-            cum[(link.id, j)] = _cumulative_products(link, c.wavelength_nm)
+    wl = np.array([c.wavelength_nm for c in channels])
+    cum, weight, on = {}, {}, {}
+    for lid, link in links.items():
+        gain = np.array([db_to_linear(s.gain_profile.gain_db(wl)) for s in link.spans])
+        loss = db_to_linear(-np.array([s.loss_dB for s in link.spans]))
+        c_l = np.cumprod(gain * loss[:, None], axis=0)
+        on[lid] = np.array([lid in c.route for c in channels])
+        rows = np.flatnonzero(on[lid])
+        row_ids = [ids[i] for i in rows]
+        ase = np.zeros_like(c_l)
+        for k, span in enumerate(link.spans):
+            ase[k, rows] = _ase_mw(span, wl[rows], gain[k, rows], row_ids)
+        cum[lid], weight[lid] = c_l, ase / (link.output_power_mW * c_l)
 
     gamma = np.zeros((n, n))
-    for i, ci in enumerate(channels):
-        prefix = np.ones(n)  # product of T_{q,j}/T_{q,i} over links before l
-        for lid in ci.route:
-            link = network.link(lid)
-            on_link = [j for j, cj in enumerate(channels) if lid in cj.route]
-            ases = np.array([span_ase(span, ci) for span in link.spans])
-            gi = cum[(lid, i)]
-            for j in on_link:
-                gj = cum[(lid, j)]
-                terms = (gj / gi) * (ases / link.output_power_mW)
-                gamma[i, j] += prefix[j] * float(np.sum(terms))
-            t_i = gi[-1]
-            for j in range(n):
-                prefix[j] *= cum[(lid, j)][-1] / t_i
+    for route, rows in rows_by_route.items():
+        prefix = np.ones((len(rows), n))
+        for lid in route:
+            c_l = cum[lid]
+            gamma[rows] += prefix * (weight[lid][:, rows].T @ c_l) * on[lid]
+            prefix *= c_l[-1] / c_l[-1, rows][:, None]
 
     n0 = np.array([c.tx_noise_mW for c in channels])
     return SystemMatrix(gamma=gamma, n0=n0)

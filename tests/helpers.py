@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from osnrgame import (
+    ChannelSpec,
+    LinkNetwork,
     PlayerParams,
     SeekerParams,
     ServicePartition,
     SystemMatrix,
     assemble,
+    evaluate_gain,
 )
+from osnrgame.link import PLANCK_J_S, SPEED_OF_LIGHT_M_S, db_to_linear
 
 
 def random_dominant_instance(rng, n_max=30, bounds_regime=False):
@@ -100,3 +104,63 @@ def rowspace_grid_minimum(gt, bt, gh, bh, u_scale, points=121, stages=4):
         center = best_v
         half = 4.0 * (2.0 * half / (points - 1))
     return best_obj
+
+
+def _loop_span_ase(span, channel) -> float:
+    """Scalar per-span ASE (mW): the physical formula, clamped at 0 for G < 1."""
+    if span.ase.fixed_ase_mW is not None:
+        return span.ase.fixed_ase_mW
+    gain = evaluate_gain(span.gain_profile, channel.wavelength_nm)
+    if gain < 1.0:
+        return 0.0
+    nu = SPEED_OF_LIGHT_M_S / (channel.wavelength_nm * 1e-9)
+    ase_w = 2.0 * span.ase.nsp * PLANCK_J_S * nu * (gain - 1.0) * (
+        span.ase.optical_bandwidth_GHz * 1e9
+    )
+    return ase_w * 1e3
+
+
+def _loop_cumulative_products(link, wavelength_nm: float) -> np.ndarray:
+    """Cumulative gain*loss products through the link's spans for one wavelength."""
+    out = np.empty(len(link.spans))
+    acc = 1.0
+    for k, span in enumerate(link.spans):
+        acc *= evaluate_gain(span.gain_profile, wavelength_nm) * db_to_linear(
+            -span.loss_dB
+        )
+        out[k] = acc
+    return out
+
+
+def loop_coupling_matrix(network: LinkNetwork, channels: list[ChannelSpec]) -> np.ndarray:
+    """Reference coupling matrix from the per-(row, link, column) loop.
+
+    The direct expansion of the model: for each span k of each link l on
+    channel i's route, every channel j on l receives ASE_k(lambda_i) / P_l
+    times the cumulative gain ratio C_l[k, j] / C_l[k, i], times the
+    whole-link transmission ratios T_q[j] / T_q[i] of the links q earlier on
+    i's route. Evaluates every link of the network at every wavelength, so
+    tabulated tables must cover all channels.
+    """
+    n = len(channels)
+    cum = {
+        (link.id, j): _loop_cumulative_products(link, c.wavelength_nm)
+        for link in network.links
+        for j, c in enumerate(channels)
+    }
+    gamma = np.zeros((n, n))
+    for i, ci in enumerate(channels):
+        prefix = np.ones(n)  # product of T_{q,j}/T_{q,i} over links before l
+        for lid in ci.route:
+            link = network.link(lid)
+            on_link = [j for j, cj in enumerate(channels) if lid in cj.route]
+            ases = np.array([_loop_span_ase(span, ci) for span in link.spans])
+            gi = cum[(lid, i)]
+            for j in on_link:
+                gj = cum[(lid, j)]
+                terms = (gj / gi) * (ases / link.output_power_mW)
+                gamma[i, j] += prefix[j] * float(np.sum(terms))
+            t_i = gi[-1]
+            for j in range(n):
+                prefix[j] *= cum[(lid, j)][-1] / t_i
+    return gamma

@@ -18,6 +18,8 @@ from osnrgame import (
 )
 from osnrgame.errors import EvaluationError, TopologyError, ValidationError
 
+from helpers import loop_coupling_matrix
+
 PARABOLIC = GainProfile(shape="parabolic", peak_gain_dB=30.0, center_nm=1555.0,
                         curvature_dB_per_nm2=0.05)
 
@@ -216,6 +218,125 @@ class TestBuildSystemMatrix:
         net = LinkNetwork(links=(Link(id=1, spans=(flat_span(),)),))
         with pytest.raises(TopologyError):
             build_system_matrix(net, [channel(1, route=(7,))])
+
+    def test_unused_link_not_evaluated(self):
+        # link 2's gain table misses every channel wavelength, but no route uses it
+        narrow = GainProfile(shape="tabulated", table=((1600.0, 20.0), (1610.0, 25.0)))
+        unused = Link(id=2, spans=(Span(gain_profile=narrow),))
+        used = Link(id=1, spans=(flat_span(), flat_span(ase_mw=0.002)))
+        chans = [channel(1, wl=1555.0), channel(2, wl=1556.0)]
+        with_unused = build_system_matrix(LinkNetwork(links=(unused, used)), chans)
+        alone = build_system_matrix(LinkNetwork(links=(used,)), chans)
+        np.testing.assert_array_equal(with_unused.gamma, alone.gamma)
+
+    def test_clamp_warns_once_per_span(self):
+        # 1 dB peak falling 1 dB/nm^2: channels 4..30 (>= 1.2 nm off centre) see G < 1.
+        # Channel 0 would too, but it is routed over link 2 only and is not counted.
+        prof = GainProfile(shape="parabolic", peak_gain_dB=1.0, center_nm=1555.0,
+                           curvature_dB_per_nm2=1.0)
+        span = Span(gain_profile=prof, loss_dB=1.0, ase=AseParams(nsp=1.5))
+        net = LinkNetwork(links=(Link(id=1, spans=(span, span)),
+                                 Link(id=2, spans=(flat_span(),))))
+        chans = [channel(0, wl=1570.0, route=(2,))]
+        chans += [channel(i + 1, wl=1555.0 + 0.4 * i) for i in range(30)]
+        with pytest.warns(UserWarning) as record:
+            sysm = build_system_matrix(net, chans)
+        assert len(record) == 2
+        for w in record:
+            msg = str(w.message)
+            assert "27 channel(s)" in msg and "ids 4, 5, 6, 7, 8, ..." in msg
+            assert "30" not in msg  # only the first five ids are listed
+        # clamped channels get no ASE on either span, so their rows are exactly 0
+        assert np.all(sysm.gamma[4:] == 0.0)
+        assert np.all(sysm.gamma[1:4, 1:] > 0.0)
+        np.testing.assert_allclose(sysm.gamma, loop_coupling_matrix(net, chans),
+                                   rtol=1e-12, atol=0)
+
+
+def _never_evaluated(self, wavelength_nm):
+    raise AssertionError("gain evaluated before the inputs were validated")
+
+
+class TestBuildErrors:
+    """Typed errors on a three-link network; link 3's gain table spans 1550-1560 nm."""
+
+    NET = LinkNetwork(links=(
+        Link(id=1, spans=(flat_span(), flat_span())),
+        Link(id=2, spans=(Span(gain_profile=PARABOLIC, ase=AseParams()),)),
+        Link(id=3, spans=(Span(gain_profile=GainProfile(
+            shape="tabulated", table=((1550.0, 20.0), (1560.0, 25.0)))),)),
+    ))
+
+    @pytest.mark.parametrize("chans, error", [
+        ([], ValidationError),
+        ([channel(1, route=(1, 2)), channel(1, wl=1556.0, route=(2, 3))], ValidationError),
+        ([channel(1, route=(1, 2)), channel(1, route=(1, 9))], ValidationError),
+        ([channel(1, route=(1, 2)), channel(2, route=(2, 9, 1))], TopologyError),
+        ([channel(1, wl=1540.0, route=(3,)), channel(2, route=(3, 2, 9))], TopologyError),
+    ])
+    def test_raises_before_evaluation(self, monkeypatch, chans, error):
+        monkeypatch.setattr(GainProfile, "gain_db", _never_evaluated)
+        with pytest.raises(error):
+            build_system_matrix(self.NET, chans)
+
+    @pytest.mark.parametrize("chans", [
+        [channel(1, wl=1540.0, route=(1, 3)), channel(2, route=(3, 2))],
+        # a routed link is evaluated at every wavelength, as its T ratios feed the prefix
+        [channel(1, wl=1540.0, route=(1, 2)), channel(2, route=(2, 3))],
+    ])
+    def test_routed_table_out_of_range(self, chans):
+        with pytest.raises(EvaluationError):
+            build_system_matrix(self.NET, chans)
+
+
+_GAINS = st.one_of(
+    st.builds(GainProfile, shape=st.just("flat"), peak_gain_dB=st.floats(5.0, 35.0)),
+    st.builds(GainProfile, shape=st.just("parabolic"), peak_gain_dB=st.floats(5.0, 35.0),
+              center_nm=st.floats(1540.0, 1570.0), curvature_dB_per_nm2=st.floats(0.0, 0.05)),
+    st.lists(st.floats(5.0, 35.0), min_size=2, max_size=4).map(
+        lambda g: GainProfile(shape="tabulated", peak_gain_dB=35.0,
+                              table=tuple(zip(np.linspace(1520.0, 1580.0, len(g)), g)))),
+)
+_ASE = st.one_of(
+    st.builds(AseParams, fixed_ase_mW=st.floats(0.0, 0.01)),
+    st.builds(AseParams, nsp=st.floats(0.0, 3.0), optical_bandwidth_GHz=st.floats(5.0, 50.0)),
+)
+_SPANS = st.builds(Span, gain_profile=_GAINS, loss_dB=st.floats(5.0, 30.0), ase=_ASE)
+
+
+@st.composite
+def routed_networks(draw):
+    """1-4 links of 1-6 spans; up to 40 channels on ordered link subsets and their reverses."""
+    link_ids = list(range(1, draw(st.integers(1, 4)) + 1))
+    links = tuple(
+        Link(id=lid, spans=tuple(draw(st.lists(_SPANS, min_size=1, max_size=6))),
+             output_power_mW=draw(st.floats(1.0, 100.0)))
+        for lid in link_ids
+    )
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        order = draw(st.permutations(link_ids))
+        route = tuple(order[:draw(st.integers(1, len(link_ids)))])
+        pool += [route, route[::-1]]
+    n = draw(st.integers(1, 40))
+    ids = draw(st.permutations(range(100, 100 + n)))
+    chans = [
+        channel(cid, wl=draw(st.floats(1530.0, 1570.0)), route=draw(st.sampled_from(pool)))
+        for cid in ids
+    ]
+    return LinkNetwork(links=links), chans
+
+
+class TestLoopOracle:
+    @given(case=routed_networks())
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:amplifier gain < 1")
+    def test_matches_loop(self, case):
+        net, chans = case
+        got = build_system_matrix(net, chans).gamma
+        ref = loop_coupling_matrix(net, chans)
+        np.testing.assert_array_equal(got == 0, ref == 0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 class TestTypeInvariants:
