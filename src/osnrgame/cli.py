@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from . import direct as direct_mod
 from .errors import NumericalError, OutputError, ValidationError
 from .model import assemble
-from .run import emit, execute, to_jsonable
+from .run import emit, execute, to_jsonable, write_json
 from .scenario import RunOptions, Scenario, demo3_scenario, demo30_scenario, load_scenario
 
 
@@ -84,7 +83,7 @@ def _cmd_check(args) -> int:
     if feas.nonsingular:
         bounds = direct_mod.power_bounds(stack, sysmat, scenario.partition)
     doc = {"feasibility": to_jsonable(feas), "bounds": to_jsonable(bounds)}
-    _write_json(doc, args.out)
+    write_json(doc, args.out)
     return 0
 
 
@@ -92,7 +91,7 @@ def _cmd_gamma(args) -> int:
     scenario = load_scenario(args.scenario)
     sysmat = scenario.system_matrix()
     doc = {"gamma": sysmat.gamma.tolist(), "n0": sysmat.n0.tolist()}
-    _write_json(doc, args.out)
+    write_json(doc, args.out)
     return 0
 
 
@@ -101,18 +100,6 @@ def _cmd_demo(builder):
         return _run_and_emit(_apply_overrides(builder(), args), args)
 
     return inner
-
-
-def _write_json(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OutputError(f"cannot write {out_path}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -55,7 +55,7 @@ class ConvergenceError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """An iteration blew past the divergence guard. Carries the trace."""
+    """An iteration blew past the divergence guard or went non-finite. Carries the trace."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, EvaluationError, NegativePowerError, ValidationError
-from .link import SystemMatrix, linear_to_db
+from .link import SystemMatrix
 from .model import PlayerParams, SeekerParams, ServicePartition, osnr
 
 DIVERGENCE_LIMIT_MW = 1e12
@@ -112,6 +112,15 @@ def convergence_rate(sys: SystemMatrix, partition: ServicePartition) -> float:
     return sigma
 
 
+def trace_osnr_db(u: np.ndarray, sys: SystemMatrix) -> np.ndarray:
+    """Every channel's OSNR in dB, NaN where the denominator or the ratio is
+    not positive, as transient iterates can be; raising is left to the update."""
+    den = sys.n0 + sys.gamma @ u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(den > 0, u / den, np.nan)
+        return np.where(ratio > 0, 10.0 * np.log10(ratio), np.nan)
+
+
 def run(
     config: IterationConfig,
     sys: SystemMatrix,
@@ -119,6 +128,9 @@ def run(
     reference: np.ndarray | None = None,
 ) -> IterationTrace:
     """Iterate until the successive difference drops under tol.
+
+    An iterate that is not finite, or whose largest power passes
+    DIVERGENCE_LIMIT_MW, raises DivergenceError with the trace so far.
 
     When a direct solution is supplied, the trace carries error norms
     against it and the observed per-step contraction ratios.
@@ -137,16 +149,7 @@ def run(
     def record(vec: np.ndarray, step_idx: int):
         if config.record_trace:
             trace.iterates.append(vec.copy())
-            dbs = np.empty(sys.size)
-            for i in range(sys.size):
-                # transient iterates can carry non-physical ratios; keep the
-                # trace recordable and let the update itself raise if needed
-                try:
-                    val = osnr(vec, sys, i)
-                    dbs[i] = linear_to_db(val) if val > 0 else np.nan
-                except EvaluationError:
-                    dbs[i] = np.nan
-            trace.osnr_db_history.append(dbs)
+            trace.osnr_db_history.append(trace_osnr_db(vec, sys))
         if reference is not None:
             err = float(np.max(np.abs(vec - reference)))
             if trace.error_history:
@@ -170,6 +173,8 @@ def run(
     for k in range(1, config.max_iter + 1):
         u_next = step(u, sys, partition)
         record(u_next, k)
+        if not np.all(np.isfinite(u_next)):
+            raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
         if float(np.max(np.abs(u_next - u))) <= config.tol:
             trace.converged_at = k
             trace.final = u_next.copy()

@@ -10,7 +10,6 @@ dual path.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import sys as _sys
 import time
@@ -39,8 +38,6 @@ class RunReport:
     sigma: float | None
     power_limit_violations: list[str]
     timing_s: dict[str, float]
-    gamma: np.ndarray
-    n0: np.ndarray
 
 
 def _limit_violations(scenario: Scenario, u: np.ndarray) -> list[str]:
@@ -75,6 +72,15 @@ def execute(scenario: Scenario) -> RunReport:
     sigma = None
     path = opts.solver
 
+    def iteration_config() -> IterationConfig:
+        return IterationConfig(
+            u0=opts.initial_powers(stack.size),
+            tol=opts.tol,
+            max_iter=opts.max_iter,
+            record_trace=opts.record_trace,
+            strict_nonnegative=opts.strict_nonnegative,
+        )
+
     t0 = time.perf_counter()
     if opts.solver == "qp" or (opts.solver in ("auto", "direct") and not feas.nonsingular):
         path = "qp"
@@ -88,13 +94,7 @@ def execute(scenario: Scenario) -> RunReport:
         if feas.nonsingular:
             reference = direct_mod.solve_dsnp(stack, sysmat, partition).u
         sigma = iterate_mod.convergence_rate(sysmat, partition)
-        config = IterationConfig(
-            u0=opts.initial_powers(stack.size),
-            tol=opts.tol,
-            max_iter=opts.max_iter,
-            strict_nonnegative=opts.strict_nonnegative,
-        )
-        trace = iterate_mod.run(config, sysmat, partition, reference=reference)
+        trace = iterate_mod.run(iteration_config(), sysmat, partition, reference=reference)
         solution = direct_mod.verify(trace.final, stack, sysmat, partition)
     else:  # auto
         path = "direct"
@@ -102,13 +102,7 @@ def execute(scenario: Scenario) -> RunReport:
         bounds = direct_mod.power_bounds(stack, sysmat, partition)
         sigma = iterate_mod.convergence_rate(sysmat, partition)
         if sigma < 1.0:
-            config = IterationConfig(
-                u0=opts.initial_powers(stack.size),
-                tol=opts.tol,
-                max_iter=opts.max_iter,
-                strict_nonnegative=opts.strict_nonnegative,
-            )
-            trace = iterate_mod.run(config, sysmat, partition, reference=solution.u)
+            trace = iterate_mod.run(iteration_config(), sysmat, partition, reference=solution.u)
     timing["solve"] = time.perf_counter() - t0
 
     violations = _limit_violations(scenario, np.asarray(solution.u))
@@ -121,8 +115,6 @@ def execute(scenario: Scenario) -> RunReport:
         sigma=sigma,
         power_limit_violations=violations,
         timing_s=timing,
-        gamma=sysmat.gamma,
-        n0=sysmat.n0,
     )
 
 
@@ -141,10 +133,14 @@ def to_jsonable(obj):
 
 
 def report_to_dict(report: RunReport, include_timing: bool = False) -> dict:
+    """The report as JSON-ready data of size O(N + steps): the coupling matrix
+    comes from `osnrgame gamma` and the per-step arrays from the CSV trace."""
     doc = to_jsonable(report)
     if not include_timing:
         # wall-clock varies run to run; dropping it keeps output byte-stable
         doc.pop("timing_s")
+    if doc["trace"] is not None:
+        del doc["trace"]["iterates"], doc["trace"]["osnr_db_history"]
     return doc
 
 
@@ -163,6 +159,21 @@ def _csv_rows(report: RunReport):
             yield f"{step_idx},{ch + 1},{u[ch]:.12f},{db[ch]:.12f},{err}"
 
 
+def write_text(text: str, out_path: str | None = None) -> None:
+    if out_path is None:
+        _sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_path}: {exc}") from exc
+
+
+def write_json(doc, out_path: str | None = None) -> None:
+    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+
+
 def emit(
     report: RunReport,
     fmt: str = "json",
@@ -170,22 +181,9 @@ def emit(
     include_timing: bool = False,
 ) -> None:
     """Write the report as one JSON document or as a per-step CSV trace."""
-    buf = io.StringIO()
     if fmt == "json":
-        json.dump(report_to_dict(report, include_timing=include_timing), buf,
-                  indent=2, sort_keys=True)
-        buf.write("\n")
+        write_json(report_to_dict(report, include_timing=include_timing), out_path)
     elif fmt == "csv":
-        for row in _csv_rows(report):
-            buf.write(row + "\n")
+        write_text("".join(row + "\n" for row in _csv_rows(report)), out_path)
     else:
         raise OutputError(f"unknown output format {fmt!r}")
-
-    if out_path is None:
-        _sys.stdout.write(buf.getvalue())
-        return
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(buf.getvalue())
-    except OSError as exc:
-        raise OutputError(f"cannot write {out_path}: {exc}") from exc

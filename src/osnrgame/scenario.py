@@ -57,6 +57,10 @@ class RunOptions:
             raise ScenarioError("run.tol must be > 0")
         if self.max_iter < 1:
             raise ScenarioError("run.max_iter must be >= 1")
+        for name in ("record_trace", "strict_nonnegative"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ScenarioError(f"run.{name} must be true or false, got {value!r}")
 
     def initial_powers(self, n: int) -> np.ndarray:
         if self.u0 is None:

@@ -23,6 +23,8 @@ from osnrgame.errors import (
     NegativePowerError,
     ValidationError,
 )
+from osnrgame.iterate import trace_osnr_db
+from osnrgame.model import osnr_db
 
 
 def make(gamma, n0, roles):
@@ -179,6 +181,16 @@ class TestRun:
             run(cfg, sysm, part)
         assert exc.value.trace.iterates
 
+    def test_non_finite_iterate_raises_at_once(self, fixture_a):
+        # a zero power makes 1/OSNR infinite, and the update turns it into NaN
+        sysm, part, _ = fixture_a
+        cfg = IterationConfig(u0=np.zeros(2), tol=1e-10, max_iter=10000)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="step 1") as exc:
+                run(cfg, sysm, part)
+        assert len(exc.value.trace.iterates) == 2
+        assert not np.all(np.isfinite(exc.value.trace.iterates[-1]))
+
     def test_strict_nonnegative_raises(self):
         sysm, part, _ = make(
             np.zeros((1, 1)), [0.01], [PlayerParams(1.0, 0.1, 0.001)]
@@ -205,3 +217,33 @@ class TestRun:
             IterationConfig(u0=np.array([0.5]), tol=0.0)
         with pytest.raises(ValidationError):
             IterationConfig(u0=np.array([0.5]), max_iter=0)
+
+
+def _osnr_db_per_channel(u, sysm):
+    out = np.empty(sysm.size)
+    for i in range(sysm.size):
+        try:
+            out[i] = osnr_db(u, sysm, i)
+        except EvaluationError:
+            out[i] = np.nan
+    return out
+
+
+class TestTraceOsnr:
+    """The trace's OSNR vector matches per-channel osnr_db, NaN included."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_channel_osnr_db(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        sysm = SystemMatrix(
+            gamma=rng.uniform(0.0, 1e-2, (n, n)) * (rng.random((n, n)) < 0.8),
+            n0=rng.uniform(1e-3, 1e-1, n),
+        )
+        # positive, zero and negative powers; large negative ones drive
+        # denominators below zero
+        u = rng.choice([0.0, 1.0, -1.0], n, p=[0.2, 0.6, 0.2]) * rng.uniform(0.01, 20.0, n)
+        got = trace_osnr_db(u, sysm)
+        want = _osnr_db_per_channel(u, sysm)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -89,6 +90,8 @@ class TestScenarioParsing:
             lambda d: d["partition"][0].update(role="observer"),
             lambda d: d.update(run={"solver": "magic"}),
             lambda d: d.update(run={"tol": 0.0}),
+            lambda d: d.update(run={"strict_nonnegative": "no"}),
+            lambda d: d.update(run={"record_trace": 1}),
         ],
     )
     def test_malformed_documents(self, mutate):
@@ -146,6 +149,18 @@ class TestExecute:
         assert report.trace.converged_at is not None
         assert report.solution.u == pytest.approx([35 / 47, 60 / 47], abs=1e-8)
 
+    @pytest.mark.parametrize("solver", ["iterative", "auto"])
+    def test_record_trace_false(self, solver, tmp_path):
+        doc = json.loads(json.dumps(FIXTURE_A_DOC))
+        doc["run"] = {"solver": solver, "record_trace": False}
+        report = execute(scenario_from_dict(doc))
+        assert report.trace.converged_at is not None
+        assert report.trace.iterates == []
+        assert report.trace.osnr_db_history == []
+        out = str(tmp_path / "trace.csv")
+        emit(report, fmt="csv", out_path=out)
+        assert open(out).read() == "step,channel,u_mW,osnr_dB,err_inf\n"
+
     def test_power_limit_violations(self):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
         doc["power_limits"] = {"min_mW": 1.0, "max_mW": 1.2}
@@ -173,6 +188,14 @@ class TestEmit:
         assert u == pytest.approx(report.solution.u, rel=1e-15)
         for ratio, db in zip(doc["solution"]["osnr"], doc["solution"]["osnr_db"]):
             assert db == pytest.approx(10.0 * np.log10(ratio), abs=1e-12)
+
+    def test_report_leaves_out_gamma_and_per_step_arrays(self):
+        doc = report_to_dict(execute(scenario_from_dict(FIXTURE_A_DOC)))
+        assert "gamma" not in doc and "n0" not in doc
+        assert set(doc["trace"]) == {
+            "converged_at", "final", "error_history", "contraction_ratios", "negative_steps",
+        }
+        assert len(doc["trace"]["error_history"]) == doc["trace"]["converged_at"] + 1
 
     def test_timing_opt_in(self, tmp_path):
         report = execute(scenario_from_dict(FIXTURE_A_DOC))
@@ -294,3 +317,44 @@ class TestDemoScenarios:
             assert report.solution.osnr_db[k] == pytest.approx(20.0, abs=0.01)
         assert np.all(report.solution.u > 0)
         assert report.sigma < 1.0
+
+
+SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "scenario.schema.json"
+DOC_FIXTURES = {k: v for k, v in list(globals().items()) if k.endswith("_DOC")}
+
+
+@pytest.fixture(scope="module")
+def schema_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
+
+
+class TestSchemaParity:
+    """scenario.schema.json and scenario_from_dict accept and reject alike."""
+
+    @pytest.mark.parametrize("name", sorted(DOC_FIXTURES))
+    def test_fixtures_validate(self, name, schema_validator):
+        schema_validator.validate(DOC_FIXTURES[name])
+        scenario_from_dict(DOC_FIXTURES[name])
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(run={"solver": "newton"}),
+            lambda d: d.update(run={"tol": 0.0}),
+            lambda d: d.update(run={"tol": -1e-8}),
+            lambda d: d.update(run={"max_iter": 0}),
+            lambda d: d["partition"][0].pop("a"),
+            lambda d: d.update(run={"record_trace": "yes"}),
+            lambda d: d.update(run={"record_trace": 1}),
+            lambda d: d.update(run={"strict_nonnegative": "no"}),
+        ],
+        ids=["solver", "tol-zero", "tol-negative", "max-iter-zero", "player-without-a",
+             "record-trace-str", "record-trace-int", "strict-nonneg-str"],
+    )
+    def test_malformed_rejected_by_both(self, mutate, schema_validator):
+        doc = json.loads(json.dumps(FIXTURE_A_DOC))
+        mutate(doc)
+        assert not schema_validator.is_valid(doc)
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(doc)
