@@ -12,19 +12,13 @@ from .direct import (
     Solution,
     check_feasibility,
     power_bounds,
-    solve_ccp,
     solve_dsnp,
-    solve_ne,
     verify,
 )
 from .iterate import (
     IterationConfig,
     IterationTrace,
     convergence_rate,
-    player_update,
-    run,
-    seeker_equivalence_params,
-    seeker_update,
     step,
 )
 from .link import (
@@ -40,10 +34,10 @@ from .link import (
     span_ase,
 )
 from .model import (
+    ChannelSystem,
     PlayerParams,
     SeekerParams,
     ServicePartition,
-    StackedSystem,
     assemble,
     osnr,
     osnr_all,
@@ -60,7 +54,6 @@ from .qp import (
     solve_qp,
 )
 from .run import RunReport, emit, execute
-from .iterate import run  # noqa: F811 -- the .run submodule import shadows the name
 from .scenario import (
     RunOptions,
     Scenario,

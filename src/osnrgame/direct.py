@@ -1,8 +1,10 @@
 """Direct solution of the mixed allocation problem.
 
-Feasibility analysis (diagonal-dominance conditions on targets and player
-parameters), the one-shot linear solve of the stacked system, residual
-verification, and the condition-number power bounds.
+Feasibility analysis (diagonal-dominance conditions read off the system
+matrix), the one-shot linear solve of the channel-ordered system, residual
+verification, and the condition-number power bounds. The feasibility check,
+the solve and the bounds share the one LU factorization cached on the
+system.
 """
 
 from __future__ import annotations
@@ -13,11 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularMatrixError, UsageError
-from .link import SystemMatrix, linear_to_db
-from .model import ServicePartition, StackedSystem, osnr_all
-
-SINGULARITY_RTOL = 1e-12
+from .link import SystemMatrix
+from .model import ChannelSystem, PlayerParams, ServicePartition, osnr_from_coupled
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,7 @@ class FeasibilityReport:
     player_condition: np.ndarray  # per player: a_i > sum_{j!=i} Gamma_ij
     strictly_diagonally_dominant: bool
     nonsingular: bool
-    margins: np.ndarray  # per stacked row: |diag| - off-diagonal abs sum
+    margins: np.ndarray  # players, then seekers: |diag| - off-diagonal abs sum
 
     @property
     def all_conditions_hold(self) -> bool:
@@ -37,7 +36,7 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Power bounds from the condition number of the stacked matrix.
+    """Power bounds from the condition number of the system matrix.
 
     The inf-norm bounds are guaranteed to bracket the solution only when
     preconditions_hold (player row sums exceed seeker row sums and player
@@ -65,85 +64,42 @@ class Solution:
     nonnegative: bool
 
 
-def _factor(gamma_bar: np.ndarray):
-    """LU-factor the stacked matrix, raising when the smallest pivot falls
-    under the singularity threshold."""
-    norm = np.linalg.norm(gamma_bar, np.inf)
-    with warnings.catch_warnings():
-        # singular input is diagnosed via the pivot test below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(gamma_bar)
-    smallest = float(np.min(np.abs(np.diag(lu))))
-    if norm == 0 or smallest < SINGULARITY_RTOL * norm:
-        raise SingularMatrixError(
-            f"stacked matrix is numerically singular (smallest pivot {smallest:.3e})",
-            smallest_pivot=smallest,
-        )
-    return lu, piv
-
-
-def check_feasibility(
-    stack: StackedSystem, sys: SystemMatrix, partition: ServicePartition
-) -> FeasibilityReport:
+def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
     """Evaluate the per-row dominance hypotheses and factorization-based
-    nonsingularity of the stacked matrix. Always returns a report."""
-    gamma = sys.gamma
-    row_sums = gamma.sum(axis=1)
-
-    seeker_ok = np.array(
-        [
-            partition.roles[i].gamma * row_sums[i] < 1.0
-            for i in partition.seekers
-        ],
-        dtype=bool,
-    )
-    player_ok = np.array(
-        [
-            partition.roles[i].a > row_sums[i] - gamma[i, i]
-            for i in partition.players
-        ],
-        dtype=bool,
-    )
-
-    # rows are players-then-seekers while columns stay in channel order, so
-    # the pivot of row r sits at that row's own channel column
-    bar = stack.gamma_bar
-    cols = np.array(stack.player_index + stack.seeker_index)
-    diag = np.abs(bar[np.arange(bar.shape[0]), cols])
-    off = np.abs(bar).sum(axis=1) - diag
-    margins = diag - off
-    dominant = bool(np.all(margins > 0))
-
-    try:
-        _factor(bar)
-        nonsingular = True
-    except SingularMatrixError:
-        nonsingular = False
-
+    nonsingularity of the system matrix. Always returns a report."""
+    diag = np.diag(system.A)
+    off = np.abs(system.A).sum(axis=1) - np.abs(diag)
+    # a seeker row holds its condition gamma_i * sum_j Gamma_ij < 1 exactly
+    # when 1 - gamma_i Gamma_ii beats its off-diagonal sum, a player row
+    # when a_i does
+    holds = diag - off > 0
+    p = system.is_player
+    margins = np.abs(diag) - off
     return FeasibilityReport(
-        seeker_condition=seeker_ok,
-        player_condition=player_ok,
-        strictly_diagonally_dominant=dominant,
-        nonsingular=nonsingular,
-        margins=margins,
+        seeker_condition=holds[~p],
+        player_condition=holds[p],
+        strictly_diagonally_dominant=bool(np.all(margins > 0)),
+        nonsingular=system.nonsingular,
+        margins=np.concatenate([margins[p], margins[~p]]),
     )
 
 
 def verify(
-    u: np.ndarray, stack: StackedSystem, sys: SystemMatrix, partition: ServicePartition
+    u: np.ndarray, system: ChannelSystem, sys: SystemMatrix, partition: ServicePartition
 ) -> Solution:
     """Package a power vector with its OSNR values and verification residuals."""
     u = np.asarray(u, dtype=float)
-    osnr_vals = osnr_all(u, sys)
-    osnr_dbs = np.array([linear_to_db(v) if v > 0 else np.nan for v in osnr_vals])
+    coupled = sys.gamma @ u
+    osnr_vals = osnr_from_coupled(u, coupled, sys)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        osnr_dbs = np.where(osnr_vals > 0, 10.0 * np.log10(osnr_vals), np.nan)
 
-    seeker_res = np.array(
-        [
-            abs(osnr_vals[i] - partition.roles[i].gamma) / partition.roles[i].gamma
-            for i in partition.seekers
-        ]
-    )
-    foc_res = np.abs(stack.gamma_tilde @ u - stack.b_tilde)
+    p = system.is_player
+    targets = np.array([r.gamma for r in partition.roles if not isinstance(r, PlayerParams)])
+    seeker_res = np.abs(osnr_vals[~p] - targets) / targets
+    # a player row of A u is (Gamma u)_i with Gamma_ii swapped for a_i
+    rows = coupled + (np.diag(system.A) - np.diag(sys.gamma)) * u
+    foc_res = np.abs(rows - system.b)[p]
 
     nonnegative = bool(np.all(u >= 0))
     if not nonnegative:
@@ -163,83 +119,54 @@ def verify(
 
 
 def solve_dsnp(
-    stack: StackedSystem, sys: SystemMatrix, partition: ServicePartition
+    system: ChannelSystem, sys: SystemMatrix, partition: ServicePartition
 ) -> Solution:
-    """Solve the stacked system directly and verify the solution.
+    """Solve the system directly and verify the solution. All-seeker and
+    all-player partitions give the central-cost and Nash-equilibrium special
+    cases.
 
     One step of iterative refinement keeps the relative residual well under
     the verification tolerances.
     """
-    lu, piv = _factor(stack.gamma_bar)
-    u = scipy.linalg.lu_solve((lu, piv), stack.b_bar)
-    resid = stack.b_bar - stack.gamma_bar @ u
-    u = u + scipy.linalg.lu_solve((lu, piv), resid)
-    return verify(u, stack, sys, partition)
+    factors = system.lu()
+    u = scipy.linalg.lu_solve(factors, system.b)
+    u = u + scipy.linalg.lu_solve(factors, system.b - system.A @ u)
+    return verify(u, system, sys, partition)
 
 
-def power_bounds(
-    stack: StackedSystem, sys: SystemMatrix, partition: ServicePartition
-) -> BoundsReport:
+def power_bounds(system: ChannelSystem, partition: ServicePartition) -> BoundsReport:
     """Bracket the max allocated power via the inf-norm condition number.
 
-    T_i (player absolute row sums) must exceed S_k (seeker row-sum bound)
-    and the player right-hand sides must exceed the seeker ones for the
-    bracket to be guaranteed; the report always carries the numbers.
+    T_i (player absolute row sums) must exceed S_k = 2 (1 - gamma_k Gamma_kk)
+    (seeker row-sum bound) and the player right-hand sides must exceed the
+    seeker ones for the bracket to be guaranteed; the report always carries
+    the numbers. The inverse comes from the cached factors, so kappa is exact.
     """
-    gamma = sys.gamma
-    players = partition.players
-    seekers = partition.seekers
-
-    t_vals = np.array(
-        [partition.roles[i].a + gamma[i].sum() - gamma[i, i] for i in players]
-    )
-    s_vals = np.array(
-        [2.0 - 2.0 * partition.roles[k].gamma * gamma[k, k] for k in seekers]
-    )
+    a_mat, b, p = system.A, system.b, system.is_player
+    diag = np.diag(a_mat)
+    players, seekers = system.m > 0, system.n > 0
     pre = True
     if players and seekers:
-        pre = bool(
-            np.all(t_vals[:, None] > s_vals[None, :])
-            and np.all(stack.b_tilde[:, None] > stack.b_hat[None, :])
-        )
+        t_min = np.abs(a_mat[p]).sum(axis=1).min()
+        pre = bool(t_min > 2.0 * diag[~p].max() and b[p].min() > b[~p].max())
 
-    _factor(stack.gamma_bar)
-    inv = np.linalg.inv(stack.gamma_bar)
-    kappa = float(
-        np.linalg.norm(stack.gamma_bar, np.inf) * np.linalg.norm(inv, np.inf)
-    )
+    inv = scipy.linalg.lu_solve(system.lu(), np.eye(system.size))
+    kappa = float(np.linalg.norm(a_mat, np.inf) * np.linalg.norm(inv, np.inf))
 
     lower = 0.0
     if seekers and players:
-        lower = max(partition.roles[k].gamma * sys.n0[k] for k in seekers) / max(
-            2.0 * partition.roles[i].a for i in players
-        )
+        lower = float(b[~p].max() / (2.0 * diag[p].max()))
     upper = None
     if players:
         upper = kappa * max(
-            partition.roles[i].beta / partition.roles[i].alpha for i in players
+            r.beta / r.alpha for r in partition.roles if isinstance(r, PlayerParams)
         )
 
-    n = stack.size
     return BoundsReport(
         preconditions_hold=pre,
         lower_inf=lower,
         upper_inf=upper,
         kappa_inf=kappa,
         euclid_lower=lower,
-        euclid_upper=None if upper is None else np.sqrt(n) * upper,
+        euclid_upper=None if upper is None else np.sqrt(system.size) * upper,
     )
-
-
-def solve_ccp(stack: StackedSystem, sys: SystemMatrix, partition: ServicePartition) -> Solution:
-    """All-seekers special case: minimum total power meeting every target."""
-    if stack.m != 0:
-        raise UsageError("central-cost solve requires an all-seekers partition")
-    return solve_dsnp(stack, sys, partition)
-
-
-def solve_ne(stack: StackedSystem, sys: SystemMatrix, partition: ServicePartition) -> Solution:
-    """All-players special case: the closed-form Nash equilibrium."""
-    if stack.n != 0:
-        raise UsageError("equilibrium solve requires an all-players partition")
-    return solve_dsnp(stack, sys, partition)

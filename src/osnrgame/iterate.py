@@ -3,7 +3,8 @@
 All channels update simultaneously from the same previous power vector, so
 a step is order independent and matches the contraction argument that
 bounds the error by the worst row ratio. Players move toward their
-first-order condition; seekers rescale toward their target.
+first-order condition; seekers rescale toward their target. In matrix form
+the update is one Jacobi sweep on the channel-ordered system A u = b.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, EvaluationError, NegativePowerError, ValidationError
 from .link import SystemMatrix
-from .model import PlayerParams, SeekerParams, ServicePartition, osnr
+from .model import ChannelSystem
 
 DIVERGENCE_LIMIT_MW = 1e12
 
@@ -47,69 +48,32 @@ class IterationTrace:
     final: np.ndarray | None = None
 
 
-def player_update(
-    u_i: float, inv_osnr: float, gamma_ii: float, beta_over_alpha: float, a: float
-) -> float:
-    """One player step; also the algebraic carrier of the seeker update."""
-    return beta_over_alpha - (1.0 / a) * (inv_osnr - gamma_ii) * u_i
+def _diagonal(system: ChannelSystem) -> np.ndarray:
+    diag = np.diag(system.A)
+    if np.any(diag == 0):
+        raise EvaluationError(
+            "singular update: a seeker's target times its self-coupling is 1"
+        )
+    return diag
 
 
-def seeker_update(u_i: float, inv_osnr: float, gamma_ii: float, gamma: float) -> float:
-    denom = 1.0 - gamma * gamma_ii
-    if denom == 0.0:
-        raise EvaluationError("singular seeker update: target times self-coupling is 1")
-    return (gamma / denom) * (inv_osnr - gamma_ii) * u_i
+def step(u: np.ndarray, system: ChannelSystem) -> np.ndarray:
+    """One synchronous update of every channel from the same power vector:
+    a Jacobi sweep on A u = b.
 
-
-@dataclass(frozen=True)
-class EquivalentPlayerUpdate:
-    """Player-shaped coefficients reproducing a seeker update.
-
-    The channel parameter comes out negative for realistic targets, so this
-    is an algebraic identity for the update map, not a valid game role.
+    Row by row this is the measured-OSNR update: a player moves to
+    beta_i/alpha_i - (1/OSNR_i - Gamma_ii) u_i / a_i, a seeker to
+    gamma_i (1/OSNR_i - Gamma_ii) u_i / (1 - gamma_i Gamma_ii).
     """
-
-    beta_over_alpha: float
-    a: float
-
-
-def seeker_equivalence_params(gamma: float, gamma_ii: float) -> EquivalentPlayerUpdate:
-    if gamma <= 0:
-        raise ValidationError("target ratio must be > 0")
-    return EquivalentPlayerUpdate(beta_over_alpha=0.0, a=gamma_ii - 1.0 / gamma)
-
-
-def step(u: np.ndarray, sys: SystemMatrix, partition: ServicePartition) -> np.ndarray:
-    """One synchronous update of every channel from the same power vector."""
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    for i, role in enumerate(partition.roles):
-        inv_osnr = 1.0 / osnr(u, sys, i)
-        gamma_ii = sys.gamma[i, i]
-        if isinstance(role, PlayerParams):
-            out[i] = player_update(
-                u[i], inv_osnr, gamma_ii, role.beta / role.alpha, role.a
-            )
-        else:
-            out[i] = seeker_update(u[i], inv_osnr, gamma_ii, role.gamma)
-    return out
+    return u + (system.b - system.A @ u) / _diagonal(system)
 
 
-def convergence_rate(sys: SystemMatrix, partition: ServicePartition) -> float:
-    """Worst-row contraction factor of the update map."""
-    sigma = 0.0
-    for i, role in enumerate(partition.roles):
-        off = float(sys.gamma[i].sum() - sys.gamma[i, i])
-        if isinstance(role, PlayerParams):
-            sigma = max(sigma, off / role.a)
-        else:
-            denom = 1.0 - role.gamma * sys.gamma[i, i]
-            if denom == 0.0:
-                raise EvaluationError(
-                    "singular rate denominator: target times self-coupling is 1"
-                )
-            sigma = max(sigma, role.gamma * off / abs(denom))
-    return sigma
+def convergence_rate(system: ChannelSystem) -> float:
+    """Worst-row contraction factor of the update map: the largest row sum
+    of |D^-1 (A - D)| with D the diagonal of A."""
+    diag = np.abs(_diagonal(system))
+    return float(np.max((np.abs(system.A).sum(axis=1) - diag) / diag))
 
 
 def trace_osnr_db(u: np.ndarray, sys: SystemMatrix) -> np.ndarray:
@@ -123,14 +87,17 @@ def trace_osnr_db(u: np.ndarray, sys: SystemMatrix) -> np.ndarray:
 
 def run(
     config: IterationConfig,
+    system: ChannelSystem,
     sys: SystemMatrix,
-    partition: ServicePartition,
     reference: np.ndarray | None = None,
 ) -> IterationTrace:
     """Iterate until the successive difference drops under tol.
 
     An iterate that is not finite, or whose largest power passes
     DIVERGENCE_LIMIT_MW, raises DivergenceError with the trace so far.
+    Negative iterates after the start are recorded in the trace and, unless
+    strict_nonnegative aborts at the first, reported by one warning at the
+    end of the run.
 
     When a direct solution is supplied, the trace carries error norms
     against it and the observed per-step contraction ratios.
@@ -164,26 +131,31 @@ def run(
                 raise NegativePowerError(
                     f"negative power at step {step_idx}", step=step_idx, u=vec
                 )
-            if step_idx > 0:
-                warnings.warn(
-                    f"iterate {step_idx} has negative power components", stacklevel=3
-                )
 
     record(u, 0)
-    for k in range(1, config.max_iter + 1):
-        u_next = step(u, sys, partition)
-        record(u_next, k)
-        if not np.all(np.isfinite(u_next)):
-            raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
-        if float(np.max(np.abs(u_next - u))) <= config.tol:
-            trace.converged_at = k
-            trace.final = u_next.copy()
-            return trace
-        if float(np.max(np.abs(u_next))) > DIVERGENCE_LIMIT_MW:
-            raise DivergenceError(f"iteration diverged at step {k}", trace=trace)
-        u = u_next
-    raise ConvergenceError(
-        f"no convergence to tol={config.tol} within {config.max_iter} steps",
-        last=u,
-        trace=trace,
-    )
+    try:
+        for k in range(1, config.max_iter + 1):
+            u_next = step(u, system)
+            record(u_next, k)
+            if not np.all(np.isfinite(u_next)):
+                raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
+            if float(np.max(np.abs(u_next - u))) <= config.tol:
+                trace.converged_at = k
+                trace.final = u_next.copy()
+                return trace
+            if float(np.max(np.abs(u_next))) > DIVERGENCE_LIMIT_MW:
+                raise DivergenceError(f"iteration diverged at step {k}", trace=trace)
+            u = u_next
+        raise ConvergenceError(
+            f"no convergence to tol={config.tol} within {config.max_iter} steps",
+            last=u,
+            trace=trace,
+        )
+    finally:
+        negative = [k for k in trace.negative_steps if k > 0]
+        if negative and not config.strict_nonnegative:
+            warnings.warn(
+                f"{len(negative)} iterates had negative power components, "
+                f"the first at step {negative[0]}",
+                stacklevel=2,
+            )

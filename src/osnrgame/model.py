@@ -1,5 +1,5 @@
 """Allocation-problem data: roles, OSNR evaluation, player cost, and the
-partitioned linear systems.
+channel-ordered linear system.
 
 Channel powers are plain float ndarrays (mW). A power vector may carry
 negative entries: the solvers work on affine systems and flag negativity
@@ -9,12 +9,17 @@ downstream instead of clamping.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
-from .errors import EvaluationError, UsageError, ValidationError
+from .errors import EvaluationError, SingularMatrixError, UsageError, ValidationError
 from .link import SystemMatrix, linear_to_db
+
+SINGULARITY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,34 +83,62 @@ class ServicePartition:
 
 
 @dataclass(frozen=True)
-class StackedSystem:
-    """Player equality rows, seeker inequality rows, and their vertical stack.
+class ChannelSystem:
+    """The allocation problem as one linear system A u = b, one row per
+    channel in channel order.
 
-    Rows are ordered players first, then seekers; columns stay in global
-    channel order. player_index/seeker_index map stacked rows back to
-    channel indices.
+    A player's row is its first-order condition: a_i on the diagonal,
+    Gamma_ij off it, b_i = a_i beta_i / alpha_i - n0_i. A seeker's row is its
+    target equation: 1 - gamma_i Gamma_ii on the diagonal, -gamma_i Gamma_ij
+    off it, b_i = gamma_i n0_i. The player and seeker blocks are the row
+    selections A[is_player] and A[~is_player]. A is factored at most once;
+    the factors are cached on the system.
     """
 
-    gamma_tilde: np.ndarray
-    b_tilde: np.ndarray
-    gamma_hat: np.ndarray
-    b_hat: np.ndarray
-    gamma_bar: np.ndarray
-    b_bar: np.ndarray
-    player_index: tuple[int, ...]
-    seeker_index: tuple[int, ...]
+    A: np.ndarray
+    b: np.ndarray
+    is_player: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.gamma_bar.shape[0]
+        return self.A.shape[0]
 
     @property
     def m(self) -> int:
-        return len(self.player_index)
+        return int(np.count_nonzero(self.is_player))
 
     @property
     def n(self) -> int:
-        return len(self.seeker_index)
+        return self.size - self.m
+
+    @cached_property
+    def _lu(self) -> tuple[tuple | None, float]:
+        """LU factors of A, or None when the smallest pivot falls under the
+        singularity threshold, and that pivot."""
+        norm = np.linalg.norm(self.A, np.inf)
+        with warnings.catch_warnings():
+            # singular input is diagnosed via the pivot test below
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(self.A)
+        smallest = float(np.min(np.abs(np.diag(lu))))
+        if norm == 0 or smallest < SINGULARITY_RTOL * norm:
+            return None, smallest
+        return (lu, piv), smallest
+
+    @property
+    def nonsingular(self) -> bool:
+        return self._lu[0] is not None
+
+    def lu(self) -> tuple:
+        """The LU factors of A; raises SingularMatrixError when A is
+        numerically singular."""
+        factors, smallest = self._lu
+        if factors is None:
+            raise SingularMatrixError(
+                f"system matrix is numerically singular (smallest pivot {smallest:.3e})",
+                smallest_pivot=smallest,
+            )
+        return factors
 
 
 def osnr(u: np.ndarray, sys: SystemMatrix, i: int) -> float:
@@ -121,7 +154,22 @@ def osnr(u: np.ndarray, sys: SystemMatrix, i: int) -> float:
 
 
 def osnr_all(u: np.ndarray, sys: SystemMatrix) -> np.ndarray:
-    return np.array([osnr(u, sys, i) for i in range(sys.size)])
+    """Every channel's OSNR from one matrix-vector product."""
+    u = np.asarray(u, dtype=float)
+    return osnr_from_coupled(u, sys.gamma @ u, sys)
+
+
+def osnr_from_coupled(u: np.ndarray, coupled: np.ndarray, sys: SystemMatrix) -> np.ndarray:
+    """Every channel's OSNR given the coupled powers Gamma u; raises at the
+    first channel whose denominator n0_i + (Gamma u)_i is not positive."""
+    den = sys.n0 + coupled
+    bad = np.flatnonzero(den <= 0)
+    if bad.size:
+        i = int(bad[0])
+        raise EvaluationError(
+            f"channel {i}: non-positive OSNR denominator {den[i]}", channel=i
+        )
+    return u / den
 
 
 def osnr_db(u: np.ndarray, sys: SystemMatrix, i: int) -> float:
@@ -148,42 +196,26 @@ def player_cost(i: int, u: np.ndarray, sys: SystemMatrix, params: PlayerParams) 
     return params.alpha * float(u[i]) - params.beta * math.log(arg)
 
 
-def assemble(sys: SystemMatrix, partition: ServicePartition) -> StackedSystem:
-    """Build the player equality system, the seeker inequality system, and
-    their vertical concatenation."""
+def assemble(sys: SystemMatrix, partition: ServicePartition) -> ChannelSystem:
+    """Build the channel-ordered system: a first-order row per player and a
+    target row per seeker."""
     n_ch = sys.size
     if partition.size != n_ch:
         raise UsageError(
             f"partition covers {partition.size} channels, matrix has {n_ch}"
         )
-    players = partition.players
-    seekers = partition.seekers
-
-    gamma_tilde = np.empty((len(players), n_ch))
-    b_tilde = np.empty(len(players))
-    for r, i in enumerate(players):
-        p = partition.roles[i]
-        gamma_tilde[r] = sys.gamma[i]
-        gamma_tilde[r, i] = p.a
-        b_tilde[r] = p.a * p.beta / p.alpha - sys.n0[i]
-
-    gamma_hat = np.empty((len(seekers), n_ch))
-    b_hat = np.empty(len(seekers))
-    for r, i in enumerate(seekers):
-        s = partition.roles[i]
-        gamma_hat[r] = -s.gamma * sys.gamma[i]
-        gamma_hat[r, i] = 1.0 - s.gamma * sys.gamma[i, i]
-        b_hat[r] = s.gamma * sys.n0[i]
-
-    gamma_bar = np.vstack([gamma_tilde, gamma_hat])
-    b_bar = np.concatenate([b_tilde, b_hat])
-    return StackedSystem(
-        gamma_tilde=gamma_tilde,
-        b_tilde=b_tilde,
-        gamma_hat=gamma_hat,
-        b_hat=b_hat,
-        gamma_bar=gamma_bar,
-        b_bar=b_bar,
-        player_index=tuple(players),
-        seeker_index=tuple(seekers),
-    )
+    g_ii = np.diag(sys.gamma)
+    # per channel: (row scale of Gamma, diagonal entry, right-hand side)
+    rows = [
+        (1.0, r.a, r.a * r.beta / r.alpha - sys.n0[i])
+        if isinstance(r, PlayerParams)
+        else (-r.gamma, 1.0 - r.gamma * g_ii[i], r.gamma * sys.n0[i])
+        for i, r in enumerate(partition.roles)
+    ]
+    scale, diag, b = (np.array(col, dtype=float) for col in zip(*rows))
+    a_mat = scale[:, None] * sys.gamma
+    a_mat[np.diag_indices(n_ch)] = diag
+    is_player = np.array([isinstance(r, PlayerParams) for r in partition.roles])
+    for arr in (a_mat, b, is_player):
+        arr.flags.writeable = False  # the cached factorization must stay valid
+    return ChannelSystem(A=a_mat, b=b, is_player=is_player)

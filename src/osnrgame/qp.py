@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, UsageError
-from .model import StackedSystem
+from .model import ChannelSystem
 
 PINV_RCOND = 1e-10
 
@@ -91,8 +91,11 @@ def build_qp(
     )
 
 
-def build_qp_from_stack(stack: StackedSystem) -> QpProblem:
-    return build_qp(stack.gamma_tilde, stack.b_tilde, stack.gamma_hat, stack.b_hat)
+def build_qp_from_stack(system: ChannelSystem) -> QpProblem:
+    """The fallback problem of a system: its player rows are the objective,
+    its seeker rows the constraints."""
+    p = system.is_player
+    return build_qp(system.A[p], system.b[p], system.A[~p], system.b[~p])
 
 
 def dual_objective(qp: QpProblem, mu: np.ndarray) -> float:
@@ -175,9 +178,9 @@ def recover_primal(qp: QpProblem, mu: np.ndarray) -> QpResult:
 
 
 def solve_qp(
-    stack: StackedSystem, tol: float = 1e-8, max_iter: int = 10000
+    system: ChannelSystem, tol: float = 1e-8, max_iter: int = 10000
 ) -> QpResult:
     """Build, solve the dual, and recover the primal in one call."""
-    qp = build_qp_from_stack(stack)
+    qp = build_qp_from_stack(system)
     mu = solve_dual(qp, tol=tol, max_iter=max_iter)
     return recover_primal(qp, mu)

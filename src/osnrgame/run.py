@@ -1,10 +1,11 @@
 """Solver orchestration and machine-readable report output.
 
-The auto route solves the stacked system directly whenever its matrix
-factors cleanly, attaches the power bounds, and cross-checks with the
-distributed iteration when the contraction factor permits; a singular or
-explicitly flagged infeasible instance falls back to the least-squares
-dual path.
+The auto route solves the channel-ordered system directly whenever its
+matrix factors cleanly, attaches the power bounds, and cross-checks with
+the distributed iteration when the contraction factor permits; a failed
+cross-check keeps the direct answer and reports its partial trace. A
+singular or explicitly flagged infeasible instance falls back to the
+least-squares dual path.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import direct as direct_mod
 from . import iterate as iterate_mod
 from . import qp as qp_mod
 from .direct import BoundsReport, FeasibilityReport, Solution
-from .errors import OutputError
+from .errors import ConvergenceError, DivergenceError, OutputError
 from .iterate import IterationConfig, IterationTrace
 from .model import assemble
 from .qp import QpResult
@@ -61,8 +62,8 @@ def execute(scenario: Scenario) -> RunReport:
 
     partition = scenario.partition
     t0 = time.perf_counter()
-    stack = assemble(sysmat, partition)
-    feas = direct_mod.check_feasibility(stack, sysmat, partition)
+    system = assemble(sysmat, partition)
+    feas = direct_mod.check_feasibility(system)
     timing["feasibility"] = time.perf_counter() - t0
 
     opts = scenario.run
@@ -74,7 +75,7 @@ def execute(scenario: Scenario) -> RunReport:
 
     def iteration_config() -> IterationConfig:
         return IterationConfig(
-            u0=opts.initial_powers(stack.size),
+            u0=opts.initial_powers(system.size),
             tol=opts.tol,
             max_iter=opts.max_iter,
             record_trace=opts.record_trace,
@@ -84,25 +85,32 @@ def execute(scenario: Scenario) -> RunReport:
     t0 = time.perf_counter()
     if opts.solver == "qp" or (opts.solver in ("auto", "direct") and not feas.nonsingular):
         path = "qp"
-        solution = qp_mod.solve_qp(stack, tol=opts.tol, max_iter=opts.max_iter)
+        solution = qp_mod.solve_qp(system, tol=opts.tol, max_iter=opts.max_iter)
     elif opts.solver == "direct":
-        solution = direct_mod.solve_dsnp(stack, sysmat, partition)
-        bounds = direct_mod.power_bounds(stack, sysmat, partition)
+        solution = direct_mod.solve_dsnp(system, sysmat, partition)
+        bounds = direct_mod.power_bounds(system, partition)
     elif opts.solver == "iterative":
         path = "iterative"
         reference = None
         if feas.nonsingular:
-            reference = direct_mod.solve_dsnp(stack, sysmat, partition).u
-        sigma = iterate_mod.convergence_rate(sysmat, partition)
-        trace = iterate_mod.run(iteration_config(), sysmat, partition, reference=reference)
-        solution = direct_mod.verify(trace.final, stack, sysmat, partition)
+            reference = direct_mod.solve_dsnp(system, sysmat, partition).u
+        sigma = iterate_mod.convergence_rate(system)
+        trace = iterate_mod.run(iteration_config(), system, sysmat, reference=reference)
+        solution = direct_mod.verify(trace.final, system, sysmat, partition)
     else:  # auto
         path = "direct"
-        solution = direct_mod.solve_dsnp(stack, sysmat, partition)
-        bounds = direct_mod.power_bounds(stack, sysmat, partition)
-        sigma = iterate_mod.convergence_rate(sysmat, partition)
+        solution = direct_mod.solve_dsnp(system, sysmat, partition)
+        bounds = direct_mod.power_bounds(system, partition)
+        sigma = iterate_mod.convergence_rate(system)
         if sigma < 1.0:
-            trace = iterate_mod.run(iteration_config(), sysmat, partition, reference=solution.u)
+            try:
+                trace = iterate_mod.run(
+                    iteration_config(), system, sysmat, reference=solution.u
+                )
+            except (ConvergenceError, DivergenceError) as exc:
+                # the cross-check failed; the verified direct answer stands,
+                # and the partial trace (converged_at null) shows how far it got
+                trace = exc.trace
     timing["solve"] = time.perf_counter() - t0
 
     violations = _limit_violations(scenario, np.asarray(solution.u))

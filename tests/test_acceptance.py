@@ -32,10 +32,8 @@ from osnrgame import (
     execute,
     power_bounds,
     recover_primal,
-    solve_ccp,
     solve_dsnp,
     solve_dual,
-    solve_ne,
 )
 from osnrgame.errors import ConvergenceError
 from osnrgame.iterate import run as iterate_run
@@ -59,7 +57,7 @@ def _instances(n=200, bounds_regime=False):
     out = []
     while len(out) < n:
         inst = random_dominant_instance(rng, n_max=30, bounds_regime=bounds_regime)
-        if bounds_regime and not power_bounds(inst[2], inst[0], inst[1]).preconditions_hold:
+        if bounds_regime and not power_bounds(inst[2], inst[1]).preconditions_hold:
             continue
         out.append(inst)
     return out
@@ -86,7 +84,7 @@ def test_criterion_2_player_stationarity(capsys):
     worst = 0.0
     for sysm, part, stack in _instances():
         sol = solve_dsnp(stack, sysm, part)
-        scale = float(np.linalg.norm(stack.b_tilde, np.inf)) if stack.m else 1.0
+        scale = float(np.linalg.norm(stack.b[stack.is_player], np.inf)) if stack.m else 1.0
         if len(sol.player_foc_residuals):
             worst = max(worst, float(np.max(sol.player_foc_residuals)) / scale)
     ok = worst <= 1e-10
@@ -107,7 +105,7 @@ def test_criterion_3_direct_iterative_agreement(capsys):
             u0=np.full(stack.size, 0.5), tol=1e-10, record_trace=False
         )
         t0 = time.perf_counter()
-        trace = iterate_run(cfg, sysm, part, reference=sol.u)
+        trace = iterate_run(cfg, stack, sysm, reference=sol.u)
         worst_time = max(worst_time, time.perf_counter() - t0)
         worst_gap = max(worst_gap, float(np.max(np.abs(trace.final - sol.u))))
     ok = worst_gap <= 1e-8 and worst_time < 0.1
@@ -124,12 +122,12 @@ def test_criterion_4_contraction_certificate(capsys):
     all_sigma_lt_1 = True
     for sysm, part, stack in _instances():
         sol = solve_dsnp(stack, sysm, part)
-        sigma = convergence_rate(sysm, part)
+        sigma = convergence_rate(stack)
         all_sigma_lt_1 = all_sigma_lt_1 and sigma < 1.0
         cfg = IterationConfig(
             u0=np.full(stack.size, 0.5), tol=1e-10, record_trace=False
         )
-        trace = iterate_run(cfg, sysm, part, reference=sol.u)
+        trace = iterate_run(cfg, stack, sysm, reference=sol.u)
         ratios = [r for r in trace.contraction_ratios if r is not None]
         if ratios:
             worst_excess = max(worst_excess, max(ratios) - sigma)
@@ -145,7 +143,7 @@ def test_criterion_4_contraction_certificate(capsys):
 def test_criterion_5_power_bound_soundness(capsys):
     violations = 0
     for sysm, part, stack in _instances(bounds_regime=True):
-        rep = power_bounds(stack, sysm, part)
+        rep = power_bounds(stack, part)
         sol = solve_dsnp(stack, sysm, part)
         m = float(np.max(np.abs(sol.u)))
         if not (rep.lower_inf <= m + 1e-12 and m <= rep.upper_inf + 1e-12):
@@ -158,7 +156,7 @@ def test_criterion_5_power_bound_soundness(capsys):
         roles=(PlayerParams(alpha=1.0, beta=1.0, a=2.5), SeekerParams(gamma=100.0))
     )
     stack = assemble(sysm, part)
-    rep = power_bounds(stack, sysm, part)
+    rep = power_bounds(stack, part)
     bar = np.array([[2.5, 0.002], [-0.2, 0.9]])
     inv = np.linalg.inv(bar)
     kappa_oracle = float(
@@ -227,12 +225,12 @@ def test_criterion_6_qp_oracle_equivalence(capsys, fixture_b):
 def test_criterion_7_special_case_reductions(capsys):
     sysm = SystemMatrix(gamma=np.array([[0.001]]), n0=np.array([0.01]))
     part = ServicePartition(roles=(SeekerParams(gamma=100.0),))
-    ccp = solve_ccp(assemble(sysm, part), sysm, part)
+    ccp = solve_dsnp(assemble(sysm, part), sysm, part)  # all seekers
     ccp_ok = ccp.u[0] == pytest.approx(1.0 / 0.9, abs=1e-10)
 
     sysm = SystemMatrix(gamma=np.array([[0.5]]), n0=np.array([0.01]))
     part = ServicePartition(roles=(PlayerParams(alpha=1.0, beta=1.01, a=1.0),))
-    ne = solve_ne(assemble(sysm, part), sysm, part)
+    ne = solve_dsnp(assemble(sysm, part), sysm, part)  # all players
     ne_ok = ne.u[0] == pytest.approx(1.0, abs=1e-12)
 
     ok = ccp_ok and ne_ok

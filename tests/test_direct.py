@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osnrgame import (
+    ChannelSystem,
     PlayerParams,
     SeekerParams,
     ServicePartition,
@@ -11,12 +15,11 @@ from osnrgame import (
     assemble,
     check_feasibility,
     power_bounds,
-    solve_ccp,
     solve_dsnp,
-    solve_ne,
 )
 from osnrgame.direct import verify
-from osnrgame.errors import SingularMatrixError, UsageError
+from osnrgame.model import osnr
+from osnrgame.errors import SingularMatrixError
 
 from helpers import random_dominant_instance
 
@@ -30,7 +33,7 @@ def make(gamma, n0, roles):
 class TestCheckFeasibility:
     def test_fixture_a_all_hold(self, fixture_a):
         sysm, part, stack = fixture_a
-        rep = check_feasibility(stack, sysm, part)
+        rep = check_feasibility(stack)
         assert rep.all_conditions_hold
         assert rep.strictly_diagonally_dominant
         assert rep.nonsingular
@@ -43,7 +46,7 @@ class TestCheckFeasibility:
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), SeekerParams(2000.0)],
         )
-        rep = check_feasibility(stack, sysm, part)
+        rep = check_feasibility(stack)
         assert not rep.seeker_condition[0]
         assert not rep.all_conditions_hold
 
@@ -52,7 +55,7 @@ class TestCheckFeasibility:
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.001), SeekerParams(100.0)],
         )
-        rep = check_feasibility(stack, sysm, part)
+        rep = check_feasibility(stack)
         assert not rep.player_condition[0]
 
     def test_zero_coupling_always_feasible(self):
@@ -60,7 +63,7 @@ class TestCheckFeasibility:
             np.zeros((2, 2)), [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), SeekerParams(100.0)],
         )
-        rep = check_feasibility(stack, sysm, part)
+        rep = check_feasibility(stack)
         assert rep.all_conditions_hold
         assert rep.nonsingular
 
@@ -70,7 +73,7 @@ class TestCheckFeasibility:
             [[0.5, 0.01], [0.01, 0.5]], [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), PlayerParams(1.0, 2.0, 0.01)],
         )
-        rep = check_feasibility(stack, sysm, part)
+        rep = check_feasibility(stack)
         assert not rep.nonsingular
         assert not rep.strictly_diagonally_dominant
 
@@ -79,7 +82,7 @@ class TestCheckFeasibility:
     def test_dominance_implies_nonsingular(self, seed):
         rng = np.random.default_rng(seed)
         sysm, part, stack = random_dominant_instance(rng, n_max=12)
-        rep = check_feasibility(stack, sysm, part)
+        rep = check_feasibility(stack)
         assert rep.all_conditions_hold
         assert rep.strictly_diagonally_dominant
         assert rep.nonsingular
@@ -102,8 +105,8 @@ class TestSolveDsnp:
         for _ in range(10):
             sysm, part, stack = random_dominant_instance(rng, n_max=20)
             sol = solve_dsnp(stack, sysm, part)
-            scale = np.linalg.norm(stack.b_bar, np.inf)
-            assert np.max(np.abs(stack.gamma_bar @ sol.u - stack.b_bar)) < 1e-12 * scale
+            scale = np.linalg.norm(stack.b, np.inf)
+            assert np.max(np.abs(stack.A @ sol.u - stack.b)) < 1e-12 * scale
             if len(sol.seeker_residuals):
                 assert np.max(sol.seeker_residuals) < 1e-9
 
@@ -143,16 +146,34 @@ class TestSolveDsnp:
         assert sol.player_foc_residuals[0] < 1e-15
 
 
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_verify_matches_row_by_row_residuals(self, seed):
+        rng = np.random.default_rng(seed)
+        sysm, part, stack = random_dominant_instance(rng, n_max=20)
+        u = rng.uniform(0.01, 5.0, stack.size)
+        sol = verify(u, stack, sysm, part)
+        p = stack.is_player
+        want_foc = np.abs(stack.A[p] @ u - stack.b[p])
+        scale = np.abs(stack.A[p]) @ u + np.abs(stack.b[p])
+        assert np.all(np.abs(sol.player_foc_residuals - want_foc) <= 1e-13 * scale)
+        want_seek = [
+            abs(osnr(u, sysm, i) - part.roles[i].gamma) / part.roles[i].gamma
+            for i in np.flatnonzero(~p)
+        ]
+        assert sol.seeker_residuals == pytest.approx(want_seek, rel=1e-12)
+
+
 class TestSpecialCases:
     def test_scalar_target_only(self):
         sysm, part, stack = make([[0.001]], [0.01], [SeekerParams(100.0)])
-        sol = solve_ccp(stack, sysm, part)
+        sol = solve_dsnp(stack, sysm, part)
         assert sol.u[0] == pytest.approx(1.0 / 0.9, rel=1e-10)
         assert sol.osnr[0] == pytest.approx(100.0, rel=1e-10)
 
     def test_scalar_equilibrium(self):
         sysm, part, stack = make([[0.5]], [0.01], [PlayerParams(1.0, 1.01, 1.0)])
-        sol = solve_ne(stack, sysm, part)
+        sol = solve_dsnp(stack, sysm, part)
         assert sol.u[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetric_equilibrium(self):
@@ -160,21 +181,14 @@ class TestSpecialCases:
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), PlayerParams(1.0, 2.0, 0.01)],
         )
-        sol = solve_ne(stack, sysm, part)
+        sol = solve_dsnp(stack, sysm, part)
         assert sol.u == pytest.approx([5.0 / 6.0, 5.0 / 6.0], rel=1e-12)
-
-    def test_usage_errors(self, fixture_a):
-        sysm, part, stack = fixture_a
-        with pytest.raises(UsageError):
-            solve_ccp(stack, sysm, part)
-        with pytest.raises(UsageError):
-            solve_ne(stack, sysm, part)
 
 
 class TestPowerBounds:
     def test_fixture_a_prime_exact(self, fixture_a_prime):
         sysm, part, stack = fixture_a_prime
-        rep = power_bounds(stack, sysm, part)
+        rep = power_bounds(stack, part)
         assert rep.preconditions_hold
 
         # independent 2x2 oracle for the inf-norm condition number
@@ -197,7 +211,7 @@ class TestPowerBounds:
     def test_fixture_a_preconditions_fail(self, fixture_a):
         # the small pricing parameter keeps T below the seeker bound
         sysm, part, stack = fixture_a
-        rep = power_bounds(stack, sysm, part)
+        rep = power_bounds(stack, part)
         assert not rep.preconditions_hold
 
     def test_all_players_no_seeker_bound(self):
@@ -205,13 +219,13 @@ class TestPowerBounds:
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), PlayerParams(1.0, 2.0, 0.01)],
         )
-        rep = power_bounds(stack, sysm, part)
+        rep = power_bounds(stack, part)
         assert rep.lower_inf == 0.0
         assert rep.upper_inf is not None
 
     def test_all_seekers_no_upper(self):
         sysm, part, stack = make([[0.001]], [0.01], [SeekerParams(100.0)])
-        rep = power_bounds(stack, sysm, part)
+        rep = power_bounds(stack, part)
         assert rep.upper_inf is None
         assert rep.euclid_upper is None
 
@@ -220,10 +234,60 @@ class TestPowerBounds:
     def test_bracket_holds_under_preconditions(self, seed):
         rng = np.random.default_rng(seed)
         sysm, part, stack = random_dominant_instance(rng, n_max=10, bounds_regime=True)
-        rep = power_bounds(stack, sysm, part)
+        rep = power_bounds(stack, part)
         if not rep.preconditions_hold:
             return
         sol = solve_dsnp(stack, sysm, part)
         m = float(np.max(np.abs(sol.u)))
         assert rep.lower_inf <= m + 1e-12
         assert m <= rep.upper_inf + 1e-12
+
+
+class TestSharedFactorization:
+    """One LU factorization per system serves the feasibility check, the
+    solve and the bounds."""
+
+    @pytest.fixture
+    def lu_calls(self, monkeypatch):
+        calls = []
+        original = scipy.linalg.lu_factor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        monkeypatch.setattr(np.linalg, "inv", None)  # kappa must not need it
+        return calls
+
+    def test_factored_once(self, fixture_a, lu_calls):
+        sysm, part, stack = fixture_a
+        assert check_feasibility(stack).nonsingular
+        solve_dsnp(stack, sysm, part)
+        power_bounds(stack, part)
+        assert len(lu_calls) == 1
+
+    def test_singular_outcome_cached(self, lu_calls):
+        sysm, part, stack = make(
+            [[0.5, 0.01], [0.01, 0.5]], [0.01, 0.01],
+            [PlayerParams(1.0, 2.0, 0.01), PlayerParams(1.0, 2.0, 0.01)],
+        )
+        assert not check_feasibility(stack).nonsingular
+        for solver in (lambda: solve_dsnp(stack, sysm, part), lambda: power_bounds(stack, part)):
+            with pytest.raises(SingularMatrixError):
+                solver()
+        assert len(lu_calls) == 1
+
+    def test_system_holds_three_arrays(self, fixture_a):
+        _, part, stack = fixture_a
+        power_bounds(stack, part)
+        assert [f.name for f in dataclasses.fields(ChannelSystem)] == ["A", "b", "is_player"]
+        assert not stack.A.flags.writeable  # the cached factors stay valid
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_kappa_is_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        sysm, part, stack = random_dominant_instance(rng, n_max=30)
+        rep = power_bounds(stack, part)
+        assert rep.kappa_inf == pytest.approx(np.linalg.cond(stack.A, np.inf), rel=1e-12)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osnrgame import (
     IterationConfig,
@@ -9,10 +13,6 @@ from osnrgame import (
     SystemMatrix,
     assemble,
     convergence_rate,
-    player_update,
-    run,
-    seeker_equivalence_params,
-    seeker_update,
     solve_dsnp,
     step,
 )
@@ -23,8 +23,8 @@ from osnrgame.errors import (
     NegativePowerError,
     ValidationError,
 )
-from osnrgame.iterate import trace_osnr_db
-from osnrgame.model import osnr_db
+from osnrgame.iterate import run, trace_osnr_db
+from osnrgame.model import osnr, osnr_db
 
 
 def make(gamma, n0, roles):
@@ -33,95 +33,168 @@ def make(gamma, n0, roles):
     return sysm, part, assemble(sysm, part)
 
 
+def player_update(u_i, inv_osnr, gamma_ii, beta_over_alpha, a):
+    """A player's update from its own power and measured OSNR alone."""
+    return beta_over_alpha - (1.0 / a) * (inv_osnr - gamma_ii) * u_i
+
+
+def seeker_update(u_i, inv_osnr, gamma_ii, gamma):
+    """A seeker's update from its own power and measured OSNR alone."""
+    return (gamma / (1.0 - gamma * gamma_ii)) * (inv_osnr - gamma_ii) * u_i
+
+
+def measured_osnr_step(u, sysm, part):
+    """Every channel's distributed update, one channel at a time."""
+    out = np.empty_like(u)
+    for i, role in enumerate(part.roles):
+        inv_osnr = 1.0 / osnr(u, sysm, i)
+        if isinstance(role, PlayerParams):
+            out[i] = player_update(u[i], inv_osnr, sysm.gamma[i, i], role.beta / role.alpha, role.a)
+        else:
+            out[i] = seeker_update(u[i], inv_osnr, sysm.gamma[i, i], role.gamma)
+    return out
+
+
 class TestStep:
     def test_fixture_a_one_step(self, fixture_a):
-        sysm, part, _ = fixture_a
-        out = step(np.array([0.5, 0.5]), sysm, part)
+        _, _, stack = fixture_a
+        out = step(np.array([0.5, 0.5]), stack)
         # player: 2 - 100 * (0.023 - 0.001) * 0.5; seeker: (100/0.9) * 0.011
         assert out == pytest.approx([0.9, 1.1 / 0.9], rel=1e-13)
 
     def test_fixed_point(self, fixture_a):
         sysm, part, stack = fixture_a
         u_star = solve_dsnp(stack, sysm, part).u
-        assert step(u_star, sysm, part) == pytest.approx(u_star, rel=1e-12)
+        assert step(u_star, stack) == pytest.approx(u_star, rel=1e-12)
 
     def test_decoupled_lands_in_one_move(self):
-        sysm, part, _ = make(
+        _, _, stack = make(
             np.zeros((2, 2)), [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), SeekerParams(100.0)],
         )
-        out = step(np.array([0.3, 0.3]), sysm, part)
+        out = step(np.array([0.3, 0.3]), stack)
         assert out == pytest.approx([1.0, 1.0], rel=1e-13)
 
     def test_synchronous_permutation_equivariance(self, fixture_a):
-        sysm, part, _ = fixture_a
+        sysm, part, stack = fixture_a
         u = np.array([0.4, 0.7])
-        out = step(u, sysm, part)
+        out = step(u, stack)
         perm = np.array([1, 0])
-        sysm_p = SystemMatrix(gamma=sysm.gamma[np.ix_(perm, perm)], n0=sysm.n0[perm])
-        part_p = ServicePartition(roles=tuple(part.roles[k] for k in perm))
-        out_p = step(u[perm], sysm_p, part_p)
+        _, _, stack_p = make(
+            sysm.gamma[np.ix_(perm, perm)], sysm.n0[perm], [part.roles[k] for k in perm]
+        )
+        out_p = step(u[perm], stack_p)
         assert out_p[np.argsort(perm)] == pytest.approx(out, rel=1e-13)
+
+    def test_zero_power_is_a_valid_start(self, fixture_a):
+        _, _, stack = fixture_a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = step(np.zeros(2), stack)
+        # player: (a beta/alpha - n0) / a; seeker: gamma n0 / (1 - gamma Gamma_ii)
+        assert out == pytest.approx([1.0, 1.0 / 0.9], rel=1e-13)
 
 
 class TestUpdateFormulas:
-    def test_player_update_scalar(self):
-        # beta/alpha - (1/a)(1/OSNR - Gamma_ii) u
+    """The distributed contract: each channel's update from its own measured
+    OSNR is the Jacobi step of the channel-ordered system."""
+
+    def test_player_update_scalar(self, fixture_a):
+        # fixture A at u = (0.5, 0.5): 1/OSNR_0 = 0.0115 / 0.5 = 0.023
+        _, _, stack = fixture_a
         assert player_update(0.5, 0.023, 0.001, 2.0, 0.01) == pytest.approx(
             0.9, rel=1e-13
         )
+        assert step(np.array([0.5, 0.5]), stack)[0] == pytest.approx(0.9, rel=1e-13)
 
-    def test_seeker_update_scalar(self):
+    def test_seeker_update_scalar(self, fixture_a):
+        # 1/OSNR_1 = 0.0115 / 0.5 = 0.023 as well
+        _, _, stack = fixture_a
         assert seeker_update(0.5, 0.023, 0.001, 100.0) == pytest.approx(
             1.1 / 0.9, rel=1e-13
         )
+        assert step(np.array([0.5, 0.5]), stack)[1] == pytest.approx(1.1 / 0.9, rel=1e-13)
 
     def test_seeker_update_singular(self):
+        # target times self-coupling is 1: the seeker row has a zero pivot
+        _, _, stack = make(
+            [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
+            [PlayerParams(1.0, 2.0, 0.01), SeekerParams(1000.0)],
+        )
         with pytest.raises(EvaluationError):
-            seeker_update(0.5, 0.02, 0.001, 1000.0)
+            step(np.array([0.5, 0.5]), stack)
 
-    def test_seeker_equivalence_params(self):
-        eq = seeker_equivalence_params(100.0, 0.001)
-        assert eq.beta_over_alpha == 0.0
-        assert eq.a == pytest.approx(-0.009, rel=1e-14)
+    def test_seeker_equivalence_params(self, fixture_a):
+        # a seeker's row over -gamma is a player's row with beta/alpha = 0 and
+        # a = -(1 - gamma Gamma_ii) / gamma
+        sysm, _, stack = fixture_a
+        row = stack.A[1] / -100.0
+        assert row[1] == pytest.approx(-0.009, rel=1e-14)
+        assert row[0] == pytest.approx(sysm.gamma[1, 0], rel=1e-14)
+        assert stack.b[1] / -100.0 == pytest.approx(-sysm.n0[1], rel=1e-14)
 
     def test_seeker_equivalence_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             g = rng.uniform(10.0, 500.0)
-            gii = rng.uniform(1e-5, 1e-3)
-            inv = rng.uniform(1e-3, 1.0)
-            u = rng.uniform(0.01, 5.0)
-            eq = seeker_equivalence_params(g, gii)
-            lhs = seeker_update(u, inv, gii, g)
-            rhs = player_update(u, inv, gii, eq.beta_over_alpha, eq.a)
-            assert rhs == pytest.approx(lhs, rel=1e-13)
+            gamma = rng.uniform(1e-5, 1e-2, (3, 3))
+            gamma[0, 0] = rng.uniform(1e-5, 1e-3)
+            sysm, _, stack = make(
+                gamma, rng.uniform(1e-3, 1e-1, 3),
+                [SeekerParams(g), PlayerParams(1.0, 2.0, 0.5), SeekerParams(20.0)],
+            )
+            u = rng.uniform(0.01, 5.0, 3)
+            a_eq = -(1.0 - g * gamma[0, 0]) / g
+            lhs = step(u, stack)[0]
+            rhs = player_update(u[0], 1.0 / osnr(u, sysm, 0), gamma[0, 0], 0.0, a_eq)
+            # the Jacobi form adds and takes back u_0: 1e-12 as in the property test
+            assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_equivalence_invalid_target(self):
-        with pytest.raises(ValidationError):
-            seeker_equivalence_params(0.0, 0.001)
+        # a non-positive target has no equivalent player row
+        for g in (0.0, -1.0):
+            with pytest.raises(ValidationError):
+                SeekerParams(g)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_measured_osnr_form_is_jacobi_step(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        gamma = rng.uniform(0.0, 1e-2, (n, n)) * (rng.random((n, n)) < 0.8)
+        roles = [
+            PlayerParams(1.0, rng.uniform(0.5, 3.0), rng.uniform(1e-3, 1.0))
+            if rng.random() < 0.5
+            else SeekerParams(rng.uniform(1.0, 90.0))
+            for _ in range(n)
+        ]
+        sysm, part, stack = make(gamma, rng.uniform(1e-3, 1e-1, n), roles)
+        u = rng.uniform(0.01, 5.0, n)
+        want = measured_osnr_step(u, sysm, part)
+        got = step(u, stack)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestConvergenceRate:
     def test_fixture_a(self, fixture_a):
-        sysm, part, _ = fixture_a
+        _, _, stack = fixture_a
         # player 0.002/0.01 = 0.2, seeker 100*0.002/0.9 = 0.2222...
-        assert convergence_rate(sysm, part) == pytest.approx(0.2 / 0.9, rel=1e-14)
+        assert convergence_rate(stack) == pytest.approx(0.2 / 0.9, rel=1e-14)
 
     def test_boundary_is_one(self):
-        sysm, part, _ = make(
+        _, _, stack = make(
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.002), SeekerParams(100.0)],
         )
-        assert convergence_rate(sysm, part) == pytest.approx(1.0, rel=1e-14)
+        assert convergence_rate(stack) == pytest.approx(1.0, rel=1e-14)
 
     def test_singular_rate(self):
-        sysm, part, _ = make(
+        _, _, stack = make(
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), SeekerParams(1000.0)],
         )
         with pytest.raises(EvaluationError):
-            convergence_rate(sysm, part)
+            convergence_rate(stack)
 
 
 class TestRun:
@@ -129,7 +202,7 @@ class TestRun:
         sysm, part, stack = fixture_a
         u_star = solve_dsnp(stack, sysm, part).u
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-12)
-        trace = run(cfg, sysm, part, reference=u_star)
+        trace = run(cfg, stack, sysm, reference=u_star)
         assert trace.converged_at is not None
         assert trace.final == pytest.approx(u_star, abs=1e-10)
         assert len(trace.iterates) == trace.converged_at + 1
@@ -138,11 +211,11 @@ class TestRun:
     def test_observed_contraction_bounded_by_rate(self, fixture_a):
         sysm, part, stack = fixture_a
         u_star = solve_dsnp(stack, sysm, part).u
-        sigma = convergence_rate(sysm, part)
+        sigma = convergence_rate(stack)
         # below tol ~1e-10 the error itself sits in rounding noise and the
         # measured ratios stop tracking the contraction factor
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-10)
-        trace = run(cfg, sysm, part, reference=u_star)
+        trace = run(cfg, stack, sysm, reference=u_star)
         ratios = [r for r in trace.contraction_ratios if r is not None]
         assert ratios
         assert max(ratios) <= sigma + 1e-9
@@ -150,67 +223,98 @@ class TestRun:
     def test_start_at_solution(self, fixture_a):
         sysm, part, stack = fixture_a
         u_star = solve_dsnp(stack, sysm, part).u
-        trace = run(IterationConfig(u0=u_star, tol=1e-8), sysm, part)
+        trace = run(IterationConfig(u0=u_star, tol=1e-8), stack, sysm)
         assert trace.converged_at == 1
 
     def test_no_trace_recording(self, fixture_a):
-        sysm, part, _ = fixture_a
+        sysm, _, stack = fixture_a
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-10, record_trace=False)
-        trace = run(cfg, sysm, part)
+        trace = run(cfg, stack, sysm)
         assert trace.iterates == []
         assert trace.osnr_db_history == []
         assert trace.final is not None
 
     def test_max_iter_exhausted(self, fixture_a):
-        sysm, part, _ = fixture_a
+        sysm, _, stack = fixture_a
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=3)
         with pytest.raises(ConvergenceError) as exc:
-            run(cfg, sysm, part)
+            run(cfg, stack, sysm)
         assert exc.value.last is not None
         assert len(exc.value.trace.iterates) == 4
 
     def test_divergence(self):
         # both seeker gains exceed one: multiplicative blow-up
-        sysm, part, _ = make(
+        sysm, _, stack = make(
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [SeekerParams(600.0), SeekerParams(600.0)],
         )
-        assert convergence_rate(sysm, part) > 1.0
+        assert convergence_rate(stack) > 1.0
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-10, max_iter=10000)
         with pytest.raises(DivergenceError) as exc:
-            run(cfg, sysm, part)
+            run(cfg, stack, sysm)
         assert exc.value.trace.iterates
 
     def test_non_finite_iterate_raises_at_once(self, fixture_a):
-        # a zero power makes 1/OSNR infinite, and the update turns it into NaN
-        sysm, part, _ = fixture_a
-        cfg = IterationConfig(u0=np.zeros(2), tol=1e-10, max_iter=10000)
+        # an infinite start power turns the first update into inf - inf = NaN
+        sysm, _, stack = fixture_a
+        cfg = IterationConfig(u0=np.array([np.inf, 0.5]), tol=1e-10, max_iter=10000)
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="step 1") as exc:
-                run(cfg, sysm, part)
+                run(cfg, stack, sysm)
         assert len(exc.value.trace.iterates) == 2
         assert not np.all(np.isfinite(exc.value.trace.iterates[-1]))
 
     def test_strict_nonnegative_raises(self):
-        sysm, part, _ = make(
+        sysm, _, stack = make(
             np.zeros((1, 1)), [0.01], [PlayerParams(1.0, 0.1, 0.001)]
         )
         cfg = IterationConfig(
             u0=np.array([0.5]), tol=1e-10, strict_nonnegative=True
         )
         with pytest.raises(NegativePowerError) as exc:
-            run(cfg, sysm, part)
+            run(cfg, stack, sysm)
         assert exc.value.step == 1
         assert exc.value.u[0] < 0
 
     def test_negative_step_recorded_and_warned(self):
-        sysm, part, _ = make(
+        sysm, _, stack = make(
             np.zeros((1, 1)), [0.01], [PlayerParams(1.0, 0.1, 0.001)]
         )
         cfg = IterationConfig(u0=np.array([0.5]), tol=1e-10)
-        with pytest.warns(UserWarning):
-            trace = run(cfg, sysm, part)
-        assert 1 in trace.negative_steps
+        with pytest.warns(UserWarning) as caught:
+            trace = run(cfg, stack, sysm)
+        assert trace.negative_steps == [1, 2]
+        # one warning per run: the count and the first step
+        assert len(caught) == 1
+        assert "2 iterates" in str(caught[0].message)
+        assert "first at step 1" in str(caught[0].message)
+
+    def test_negative_warning_once_on_failed_run(self):
+        # sigma = 3: the iterates swing in sign as they grow
+        sysm, _, stack = make(
+            [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
+            [PlayerParams(1.0, 0.1, 0.001), SeekerParams(600.0)],
+        )
+        cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=6)
+        with pytest.warns(UserWarning) as caught:
+            with pytest.raises(ConvergenceError) as exc:
+                run(cfg, stack, sysm)
+        negative = [k for k in exc.value.trace.negative_steps if k > 0]
+        assert len(negative) > 1
+        assert len(caught) == 1
+        assert f"{len(negative)} iterates" in str(caught[0].message)
+
+    def test_zero_start_converges_silently(self, fixture_a):
+        sysm, part, stack = fixture_a
+        u_star = solve_dsnp(stack, sysm, part).u
+        cfg = IterationConfig(u0=np.zeros(2), tol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(cfg, stack, sysm, reference=u_star)
+        assert trace.converged_at is not None
+        assert trace.final == pytest.approx(u_star, abs=1e-10)
+        # the zero start has no OSNR in dB
+        assert np.all(np.isnan(trace.osnr_db_history[0]))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -48,6 +48,21 @@ class TestOsnr:
             osnr(np.array([1.0]), sysm, 0)
         assert exc.value.channel == 0
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_all_matches_per_channel(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        sysm = SystemMatrix(gamma=rng.uniform(0.0, 1e-2, (n, n)), n0=rng.uniform(1e-3, 1e-1, n))
+        u = rng.uniform(-1.0, 20.0, n)
+        want = [osnr(u, sysm, i) for i in range(n)]
+        assert osnr_all(u, sysm) == pytest.approx(want, rel=1e-13)
+
+    def test_all_raises_at_first_nonpositive_denominator(self):
+        sysm = SystemMatrix(gamma=np.zeros((3, 3)), n0=np.array([0.01, 0.0, 0.0]))
+        with pytest.raises(EvaluationError) as exc:
+            osnr_all(np.array([1.0, 1.0, 1.0]), sysm)
+        assert exc.value.channel == 1
+
 
 class TestOsnrDb:
     def test_decade(self):
@@ -95,12 +110,11 @@ class TestPlayerCost:
 class TestAssemble:
     def test_fixture_a_exact(self, fixture_a):
         _, _, stack = fixture_a
-        assert stack.gamma_bar == pytest.approx(
+        assert stack.A == pytest.approx(
             np.array([[0.01, 0.002], [-0.2, 0.9]]), rel=1e-15
         )
-        assert stack.b_bar == pytest.approx(np.array([0.01, 1.0]), rel=1e-15)
-        assert stack.player_index == (0,)
-        assert stack.seeker_index == (1,)
+        assert stack.b == pytest.approx(np.array([0.01, 1.0]), rel=1e-15)
+        assert stack.is_player.tolist() == [True, False]
 
     def test_all_players_is_pure_game(self, fixture_a):
         sysm, _, _ = fixture_a
@@ -109,8 +123,8 @@ class TestAssemble:
         ))
         stack = assemble(sysm, part)
         assert stack.n == 0
-        assert stack.gamma_bar == pytest.approx(stack.gamma_tilde)
-        assert stack.gamma_tilde == pytest.approx(
+        assert stack.A[stack.is_player] == pytest.approx(stack.A)
+        assert stack.A == pytest.approx(
             np.array([[0.01, 0.002], [0.002, 0.01]]), rel=1e-15
         )
 
@@ -122,8 +136,8 @@ class TestAssemble:
             SeekerParams(gamma=1e-12), SeekerParams(gamma=1e-12),
         ))
         stack = assemble(sysm, part)
-        assert stack.gamma_hat == pytest.approx(np.eye(2), abs=1e-12)
-        assert stack.b_hat == pytest.approx(np.zeros(2), abs=1e-12)
+        assert stack.A == pytest.approx(np.eye(2), abs=1e-12)
+        assert stack.b == pytest.approx(np.zeros(2), abs=1e-12)
 
     def test_dimension_mismatch(self, fixture_a):
         sysm, _, _ = fixture_a
@@ -138,7 +152,7 @@ class TestAssemble:
         for _ in range(20):
             u0 = rng.uniform(0.1, 2.0)
             # solve the single seeker row for u1 given u0
-            u1 = (stack.b_hat[0] - stack.gamma_hat[0, 0] * u0) / stack.gamma_hat[0, 1]
+            u1 = (stack.b[1] - stack.A[1, 0] * u0) / stack.A[1, 1]
             u = np.array([u0, u1])
             assert osnr(u, sysm, 1) == pytest.approx(100.0, rel=1e-9)
 
@@ -148,7 +162,7 @@ class TestAssemble:
         p = part.roles[0]
         for _ in range(20):
             u1 = rng.uniform(0.1, 2.0)
-            u0 = (stack.b_tilde[0] - stack.gamma_tilde[0, 1] * u1) / stack.gamma_tilde[0, 0]
+            u0 = (stack.b[0] - stack.A[0, 1] * u1) / stack.A[0, 0]
             u = np.array([u0, u1])
             x = interference(u, sysm, 0)
             foc = p.alpha - p.beta * p.a / (x + p.a * u[0])
@@ -176,18 +190,12 @@ class TestAssemble:
         part_p = ServicePartition(roles=tuple(roles[k] for k in perm))
         stack_p = assemble(sysm_p, part_p)
 
-        # compare the permuted stacked matrix against the direct assembly
-        inv = np.argsort(perm)
-        rows = list(stack.player_index) + list(stack.seeker_index)
-        rows_p = [perm[k] for k in stack_p.player_index] + [
-            perm[k] for k in stack_p.seeker_index
-        ]
-        for r_p, ch in enumerate(rows_p):
-            r = rows.index(ch)
-            assert stack_p.gamma_bar[r_p][inv] == pytest.approx(
-                stack.gamma_bar[r], rel=1e-14, abs=1e-300
-            )
-            assert stack_p.b_bar[r_p] == pytest.approx(stack.b_bar[r], rel=1e-14)
+        # channel order in, channel order out: rows and columns permute alike
+        assert stack_p.A == pytest.approx(
+            stack.A[np.ix_(perm, perm)], rel=1e-14, abs=1e-300
+        )
+        assert stack_p.b == pytest.approx(stack.b[perm], rel=1e-14)
+        assert stack_p.is_player.tolist() == stack.is_player[perm].tolist()
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -207,13 +215,13 @@ class TestAssemble:
         stack = assemble(sysm, part)
 
         recovered = np.empty_like(gamma)
-        for r, i in enumerate(stack.player_index):
-            recovered[i] = stack.gamma_tilde[r]
+        for i in np.flatnonzero(stack.is_player):
+            recovered[i] = stack.A[i]
             recovered[i, i] = gamma[i, i]  # the diagonal is replaced by a_i
-        for r, i in enumerate(stack.seeker_index):
+        for i in np.flatnonzero(~stack.is_player):
             g = part.roles[i].gamma
-            recovered[i] = -stack.gamma_hat[r] / g
-            recovered[i, i] = (1.0 - stack.gamma_hat[r, i]) / g
+            recovered[i] = -stack.A[i] / g
+            recovered[i, i] = (1.0 - stack.A[i, i]) / g
         assert recovered == pytest.approx(gamma, rel=1e-14)
 
 

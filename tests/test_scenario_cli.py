@@ -1,9 +1,14 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import osnrgame
 from osnrgame import RunOptions, demo3_scenario, demo30_scenario, execute, load_scenario
 from osnrgame.cli import main
 from osnrgame.direct import Solution
@@ -161,6 +166,17 @@ class TestExecute:
         emit(report, fmt="csv", out_path=out)
         assert open(out).read() == "step,channel,u_mW,osnr_dB,err_inf\n"
 
+    def test_failed_cross_check_keeps_direct_answer(self):
+        doc = json.loads(json.dumps(FIXTURE_A_DOC))
+        doc["run"] = {"max_iter": 2}
+        report = execute(scenario_from_dict(doc))
+        assert report.path_taken == "direct"
+        assert report.solution.u == pytest.approx([35 / 47, 60 / 47], rel=1e-10)
+        # the partial trace of the iteration that ran out of steps
+        assert report.trace.converged_at is None
+        assert report.trace.final is None
+        assert len(report.trace.error_history) == 3
+
     def test_power_limit_violations(self):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
         doc["power_limits"] = {"min_mW": 1.0, "max_mW": 1.2}
@@ -287,6 +303,33 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "step,channel,u_mW,osnr_dB,err_inf"
         assert len(lines) > 30
+
+    def test_demo30_short_cross_check_exits_zero(self, capsys):
+        assert main(["demo30", "--max-iter", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["path_taken"] == "direct"
+        assert doc["trace"]["converged_at"] is None
+        assert len(doc["solution"]["u"]) == 30
+
+    def test_demo30_zero_start_is_clean(self, tmp_path):
+        # the real CLI process, so any warning would reach its stderr
+        src = str(pathlib.Path(osnrgame.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "osnrgame.cli", "demo30", "--u0", "0"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["path_taken"] == "direct"
+        assert doc["trace"]["converged_at"] is not None
+        assert doc["trace"]["negative_steps"] == []
+
+    def test_run_module_is_not_shadowed(self):
+        assert isinstance(osnrgame.run, types.ModuleType)
+        assert osnrgame.run.execute is execute
 
     def test_solve_byte_stable_across_invocations(self, tmp_path, capsys):
         path = write_doc(tmp_path, FIXTURE_A_DOC)
