@@ -2,8 +2,8 @@
 
 Builds the channel-coupling matrix from a physical link description,
 solves the mixed game-player/target-seeker allocation directly, falls back
-to a least-squares dual when the targets are unattainable, and provides
-the distributed OSNR-driven iteration with convergence diagnostics.
+to constrained least squares when the targets are unattainable, and
+provides the distributed OSNR-driven iteration with its diagnostics.
 """
 
 from .direct import (
@@ -44,15 +44,7 @@ from .model import (
     osnr_db,
     player_cost,
 )
-from .qp import (
-    QpProblem,
-    QpResult,
-    build_qp,
-    build_qp_from_stack,
-    recover_primal,
-    solve_dual,
-    solve_qp,
-)
+from .qp import QpResult, solve_qp
 from .run import RunReport, emit, execute
 from .scenario import (
     RunOptions,

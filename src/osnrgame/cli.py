@@ -12,8 +12,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import direct as direct_mod
 from .errors import NumericalError, OutputError, ValidationError
 from .model import assemble
@@ -51,7 +49,7 @@ def _apply_overrides(scenario: Scenario, args, solver: str | None = None) -> Sce
     if args.max_iter is not None:
         changes["max_iter"] = args.max_iter
     if args.u0 is not None:
-        changes["u0"] = np.array([float(x) for x in str(args.u0).split(",")])
+        changes["u0"] = str(args.u0).split(",")  # RunOptions parses and checks them
     if args.strict_nonneg:
         changes["strict_nonnegative"] = True
     if not changes:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all solver modules.
 
 Exit-code mapping used by the CLI: ValidationError -> 1,
-NumericalError -> 2, OutputError -> 3.
+NumericalError -> 2 (among them InfeasibleError, the QP fallback's
+contradictory seeker rows), OutputError -> 3.
 """
 
 
@@ -43,6 +44,15 @@ class SingularMatrixError(NumericalError):
     def __init__(self, message, smallest_pivot=None):
         super().__init__(message)
         self.smallest_pivot = smallest_pivot
+
+
+class InfeasibleError(NumericalError):
+    """No power vector meets the seeker rows Gh u >= bh. Carries the Farkas
+    certificate y >= 0 with Gh^T y = 0 and bh . y > 0."""
+
+    def __init__(self, message, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 class ConvergenceError(NumericalError):

@@ -1,19 +1,15 @@
 """Least-squares fallback for target sets the equality system cannot meet.
 
-Minimizes the player-system residual norm subject to the seeker
-inequalities by maximizing the concave dual over the nonnegative orthant
-with projected gradient ascent, then recovering the primal point through
-the pseudoinverse.
-
-With fewer players than channels the quadratic form is rank deficient, so
-the textbook normal-equations inverse does not exist; the Moore-Penrose
-pseudoinverse replaces it. That choice restricts the recovered power
-vector to the row space of the player system and selects the minimum-norm
-representative among the stationary points.
-
-Scaling: H = 2 * Gt^T Gt and d = -2 * Gt^T bt, so that H u + d is exactly
-the gradient of ||Gt u - bt||^2 and the stationarity, dual, and recovery
-formulas are mutually consistent.
+Minimizes the player residual ||Gt u - bt|| subject to the seeker rows
+Gh u >= bh and returns the minimum-norm minimizer, by a finite method
+(Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23):
+1. NNLS on [Gh^T; bh^T] solves min ||u|| s.t. Gh u >= bh, a feasible start,
+   or yields y >= 0 with Gh^T y = 0 and bh . y > 0 (raised as InfeasibleError).
+2. A primal active-set pass from that start reaches the least residual.
+3. The same pass on ||u|| over null(Gt) from that optimum picks the
+   minimum-norm point of the optimal set.
+The multipliers belong to the squared objective: 2 Gt^T (Gt u - bt) = Gh^T mu.
+Singular values are cut at RANK_RTOL relative to row norms.
 """
 
 from __future__ import annotations
@@ -22,31 +18,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, UsageError
+from .errors import InfeasibleError, UsageError
 from .model import ChannelSystem
 
-PINV_RCOND = 1e-10
+RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Quadratic data of the fallback problem and its dual."""
+    """Player rows (the objective) and seeker rows (the constraints)."""
 
     gamma_tilde: np.ndarray
     b_tilde: np.ndarray
     gamma_hat: np.ndarray
     b_hat: np.ndarray
-    h: np.ndarray  # 2 Gt^T Gt
-    d: np.ndarray  # -2 Gt^T bt
-    h_pinv: np.ndarray
-    dual_matrix: np.ndarray  # -Gh H^+ Gh^T, negative semidefinite
-    dual_linear: np.ndarray  # bh + Gh H^+ d
-    constant: float  # bt^T bt
+
+
+@dataclass(frozen=True)
+class LeastResidual:
+    """Seeker multipliers, a least-residual point, the seeker rows held there."""
+
+    mu: np.ndarray
+    u: np.ndarray
+    working: np.ndarray  # bool mask over the seeker rows
 
 
 @dataclass(frozen=True)
 class QpResult:
-    """Dual multipliers, recovered primal point, and KKT residuals."""
+    """Multipliers, the minimum-norm minimizer, and KKT residuals."""
 
     mu: np.ndarray
     u: np.ndarray
@@ -56,12 +55,7 @@ class QpResult:
     complementary_slackness: float
 
 
-def build_qp(
-    gamma_tilde: np.ndarray,
-    b_tilde: np.ndarray,
-    gamma_hat: np.ndarray,
-    b_hat: np.ndarray,
-) -> QpProblem:
+def build_qp(gamma_tilde, b_tilde, gamma_hat, b_hat) -> QpProblem:
     gt = np.atleast_2d(np.asarray(gamma_tilde, dtype=float))
     bt = np.atleast_1d(np.asarray(b_tilde, dtype=float))
     gh = np.atleast_2d(np.asarray(gamma_hat, dtype=float))
@@ -70,25 +64,7 @@ def build_qp(
         raise UsageError("fallback problem needs at least one player and one seeker row")
     if gt.shape[1] != gh.shape[1]:
         raise UsageError("player and seeker rows must have matching width")
-
-    h = 2.0 * gt.T @ gt
-    d = -2.0 * gt.T @ bt
-    h_pinv = np.linalg.pinv(h, rcond=PINV_RCOND, hermitian=True)
-    dual_matrix = -(gh @ h_pinv @ gh.T)
-    dual_matrix = 0.5 * (dual_matrix + dual_matrix.T)
-    dual_linear = bh + gh @ h_pinv @ d
-    return QpProblem(
-        gamma_tilde=gt,
-        b_tilde=bt,
-        gamma_hat=gh,
-        b_hat=bh,
-        h=h,
-        d=d,
-        h_pinv=h_pinv,
-        dual_matrix=dual_matrix,
-        dual_linear=dual_linear,
-        constant=float(bt @ bt),
-    )
+    return QpProblem(gamma_tilde=gt, b_tilde=bt, gamma_hat=gh, b_hat=bh)
 
 
 def build_qp_from_stack(system: ChannelSystem) -> QpProblem:
@@ -98,89 +74,106 @@ def build_qp_from_stack(system: ChannelSystem) -> QpProblem:
     return build_qp(system.A[p], system.b[p], system.A[~p], system.b[~p])
 
 
-def dual_objective(qp: QpProblem, mu: np.ndarray) -> float:
-    """Dual value at mu, on the scale of the squared primal objective."""
-    mu = np.asarray(mu, dtype=float)
-    const = qp.constant - 0.5 * float(qp.d @ qp.h_pinv @ qp.d)
-    return (
-        0.5 * float(mu @ qp.dual_matrix @ mu) + float(qp.dual_linear @ mu) + const
-    )
+def _lstsq(a: np.ndarray, rhs: np.ndarray, cutoff: float) -> np.ndarray:
+    """Minimum-norm least-squares solution; singular values <= cutoff count as 0."""
+    left, sv, vt = np.linalg.svd(a, full_matrices=False)
+    keep = sv > cutoff
+    return vt[keep].T @ ((left[:, keep].T @ rhs) / sv[keep])
 
 
-def solve_dual(
-    qp: QpProblem, tol: float = 1e-8, max_iter: int = 10000, on_step=None
-) -> np.ndarray:
-    """Projected gradient ascent on the dual with backtracking line search.
-
-    Convergence test is the fixed-point residual of the projection map at
-    the final step size. An unbounded dual (the restricted primal has no
-    feasible point) runs into the iteration cap and raises, carrying the
-    last iterate. on_step, when given, receives (mu, dual value) once per
-    accepted iterate.
-    """
-    n = qp.dual_matrix.shape[0]
-    mu = np.zeros(n)
-    lip = float(np.linalg.norm(qp.dual_matrix, 2))
-    eta = 1.0 / lip if lip > 0 else 1.0
-    value = dual_objective(qp, mu)
-    if on_step is not None:
-        on_step(mu.copy(), value)
-
-    for _ in range(max_iter):
-        grad = qp.dual_matrix @ mu + qp.dual_linear
-        candidate = np.maximum(mu + eta * grad, 0.0)
-        cand_value = dual_objective(qp, candidate)
-        while cand_value < value - 1e-15 * (1.0 + abs(value)) and eta > 1e-300:
-            eta *= 0.5
-            candidate = np.maximum(mu + eta * grad, 0.0)
-            cand_value = dual_objective(qp, candidate)
-        if float(np.max(np.abs(candidate - mu))) <= tol:
-            if on_step is not None:
-                on_step(candidate.copy(), cand_value)
-            return candidate
-        mu = candidate
-        value = cand_value
-        if on_step is not None:
-            on_step(mu.copy(), value)
-        eta *= 1.25  # re-expand so backtracking tracks the local curvature
-        if lip > 0:
-            eta = min(eta, 1.0 / lip)
-    raise ConvergenceError(
-        f"dual ascent did not meet tol={tol} within {max_iter} iterations",
-        last=mu,
-    )
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(rows, axis=1)
+    return np.where(norms > 0.0, norms, 1.0)
 
 
-def recover_primal(qp: QpProblem, mu: np.ndarray) -> QpResult:
-    """Primal point from the stationarity condition, with KKT residuals.
+def _active_set(m, c, g, h, x, working, on_step):
+    """Primal active-set method for min ||m x - c|| s.t. g x >= h (rows of
+    g of norm <= 1) from a feasible x with the rows `working` at equality.
+    Each step is the minimum-norm least-squares step on the null space of
+    the working rows, cut short at the first row it would cross; then the
+    row with the most negative multiplier leaves, and may not block the next
+    step, so rounding cannot put it straight back. Returns x, the working
+    mask and the multipliers of ||m x - c||^2."""
+    working, left_row = working.copy(), -1
+    cutoff = RANK_RTOL * float(np.max(np.linalg.norm(m, axis=1), initial=0.0))
+    scale = float(np.linalg.norm(m) * (np.linalg.norm(m @ x) + np.linalg.norm(c)))
+    lam_tol = 20.0 * np.finfo(float).eps * max(m.shape) * scale
+    while True:
+        left, sv, vt = np.linalg.svd(g[working], full_matrices=True)
+        rank = int(np.sum(sv > RANK_RTOL))
+        p = vt[rank:].T @ _lstsq(m @ vt[rank:].T, c - m @ x, cutoff)
+        gp = g @ p
+        block = np.flatnonzero(~working & (gp < -RANK_RTOL * float(np.linalg.norm(p))))
+        block = block[block != left_row]
+        ratios = np.maximum(g[block] @ x - h[block], 0.0) / -gp[block]
+        step = float(np.min(ratios, initial=1.0))
+        x, left_row = x + step * p, -1
+        residual = m @ x - c
+        on_step(x.copy(), float(np.linalg.norm(residual)))
+        if step < 1.0:
+            working[block[np.argmin(ratios)]] = True
+            continue
+        lam = np.zeros(g.shape[0])
+        lam[working] = left[:, :rank] @ ((vt[:rank] @ (2.0 * m.T @ residual)) / sv[:rank])
+        if not np.any(lam < -lam_tol):
+            return x, working, np.maximum(lam, 0.0)
+        left_row = int(np.argmin(lam))
+        working[left_row] = False
 
-    The stationarity residual is projected onto the range of H: the
-    component in the null space is not controlled by the pseudoinverse
-    recovery and is reported through the feasibility violation instead.
-    """
-    mu = np.asarray(mu, dtype=float)
+
+def solve_dual(qp: QpProblem, on_step=None) -> LeastResidual:
+    """Steps 1 and 2. Raises InfeasibleError, with the Farkas certificate,
+    when no power vector meets the seeker rows. on_step, when given,
+    receives (point, value) at the start and after every step: the NNLS
+    multipliers with the NNLS residual, then u with the objective."""
+    hook = on_step if on_step is not None else (lambda x, value: None)
+    gh, bh = qp.gamma_hat, qp.b_hat
+    rho = _row_norms(gh)
+    g, h = gh / rho[:, None], bh / rho
+    f = np.r_[np.zeros(gh.shape[1]), 1.0]
+    e = np.vstack([g.T, h])
+    # Lawson-Hanson NNLS is this active-set method on the bounds y >= 0;
+    # it starts at y = 0 with every entry free (Bro & de Jong's all-passive start)
+    y = np.zeros(gh.shape[0])
+    hook(y.copy(), 1.0)  # ||e y - f|| = ||f||
+    y, at_zero, _ = _active_set(e, f, np.eye(y.size), y, y, np.zeros(y.size, dtype=bool), hook)
+    y = np.where(at_zero, 0.0, np.maximum(y, 0.0))
+    r = e @ y - f
+    cert = y / rho
+    if bh @ cert > 0.0 and np.max(np.abs(r[:-1])) <= RANK_RTOL * np.sum(cert) * np.max(np.abs(gh)):
+        raise InfeasibleError("no power vector meets the seeker targets", certificate=cert)
+    u, working, lam = _active_set(qp.gamma_tilde, qp.b_tilde, g, h, -r[:-1] / r[-1], ~at_zero, hook)
+    return LeastResidual(mu=lam / rho, u=u, working=working)
+
+
+def recover_primal(qp: QpProblem, least: LeastResidual) -> QpResult:
+    """Step 3, with KKT residuals. The optimal set is the feasible part of
+    {u : Gt u = Gt u*}. With N an orthonormal basis of null(Gt), u = u* + N z
+    and ||u||^2 = ||z + N^T u*||^2 + const, minimized from z = 0."""
+    mu = np.asarray(least.mu, dtype=float)
     if np.any(mu < 0):
         raise UsageError("dual multipliers must be nonnegative")
-    rhs = qp.d - qp.gamma_hat.T @ mu
-    u = -(qp.h_pinv @ rhs)
-
-    stat = qp.h @ u + qp.d - qp.gamma_hat.T @ mu
-    stat_range = qp.h @ (qp.h_pinv @ stat)  # projection onto range(H)
-    slack = qp.gamma_hat @ u - qp.b_hat
+    gt, bt, gh, bh = qp.gamma_tilde, qp.b_tilde, qp.gamma_hat, qp.b_hat
+    _, sv, vt = np.linalg.svd(gt / _row_norms(gt)[:, None], full_matrices=True)
+    null = vt[int(np.sum(sv > RANK_RTOL)):].T
+    u, rho, d = np.asarray(least.u, dtype=float), _row_norms(gh), null.shape[1]
+    z, _, _ = _active_set(
+        np.eye(d), -null.T @ u, (gh @ null) / rho[:, None], (bh - gh @ u) / rho,
+        np.zeros(d), least.working, lambda x, value: None,
+    )
+    u = u + null @ z
+    slack = gh @ u - bh
     return QpResult(
         mu=mu,
         u=u,
-        objective=float(np.linalg.norm(qp.gamma_tilde @ u - qp.b_tilde)),
-        stationarity_residual=float(np.max(np.abs(stat_range))),
+        objective=float(np.linalg.norm(gt @ u - bt)),
+        stationarity_residual=float(np.max(np.abs(2.0 * gt.T @ (gt @ u - bt) - gh.T @ mu))),
         primal_feasibility_violation=float(max(0.0, np.max(-slack))),
         complementary_slackness=float(np.max(np.abs(mu * slack))),
     )
 
 
-def solve_qp(
-    system: ChannelSystem, tol: float = 1e-8, max_iter: int = 10000
-) -> QpResult:
-    """Build, solve the dual, and recover the primal in one call."""
+def solve_qp(system: ChannelSystem) -> QpResult:
+    """Build, reach the least residual, and recover the minimum-norm point."""
     qp = build_qp_from_stack(system)
-    mu = solve_dual(qp, tol=tol, max_iter=max_iter)
-    return recover_primal(qp, mu)
+    return recover_primal(qp, solve_dual(qp))

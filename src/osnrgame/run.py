@@ -5,7 +5,7 @@ matrix factors cleanly, attaches the power bounds, and cross-checks with
 the distributed iteration when the contraction factor permits; a failed
 cross-check keeps the direct answer and reports its partial trace. A
 singular or explicitly flagged infeasible instance falls back to the
-least-squares dual path.
+constrained least-squares solve.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def execute(scenario: Scenario) -> RunReport:
     t0 = time.perf_counter()
     if opts.solver == "qp" or (opts.solver in ("auto", "direct") and not feas.nonsingular):
         path = "qp"
-        solution = qp_mod.solve_qp(system, tol=opts.tol, max_iter=opts.max_iter)
+        solution = qp_mod.solve_qp(system)
     elif opts.solver == "direct":
         solution = direct_mod.solve_dsnp(system, sysmat, partition)
         bounds = direct_mod.power_bounds(system, partition)

@@ -46,7 +46,7 @@ class RunOptions:
     solver: str = "auto"
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    u0: np.ndarray | None = None  # None: uniform default fill
+    u0: np.ndarray | None = None  # finite mW; None: uniform default fill
     record_trace: bool = True
     strict_nonnegative: bool = False
 
@@ -61,16 +61,23 @@ class RunOptions:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ScenarioError(f"run.{name} must be true or false, got {value!r}")
+        if self.u0 is not None:
+            try:
+                u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
+            except (TypeError, ValueError):
+                raise ScenarioError(f"run.u0 must be numbers, got {self.u0!r}") from None
+            if not np.all(np.isfinite(u0)):
+                raise ScenarioError(f"run.u0 must be finite, got {u0.tolist()}")
+            object.__setattr__(self, "u0", u0)
 
     def initial_powers(self, n: int) -> np.ndarray:
         if self.u0 is None:
             return np.full(n, DEFAULT_U0_MW)
-        u0 = np.asarray(self.u0, dtype=float)
-        if u0.size == 1:
-            return np.full(n, float(u0.reshape(-1)[0]))
-        if u0.shape != (n,):
-            raise ScenarioError(f"run.u0 has {u0.size} entries for {n} channels")
-        return u0
+        if self.u0.size == 1:
+            return np.full(n, float(self.u0.flat[0]))
+        if self.u0.shape != (n,):
+            raise ScenarioError(f"run.u0 has {self.u0.size} entries for {n} channels")
+        return self.u0
 
 
 @dataclass(frozen=True)
@@ -225,12 +232,11 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     )
 
     run_obj = doc.get("run", {})
-    u0 = run_obj.get("u0")
     run = RunOptions(
         solver=run_obj.get("solver", "auto"),
         tol=run_obj.get("tol", DEFAULT_TOL),
         max_iter=run_obj.get("max_iter", DEFAULT_MAX_ITER),
-        u0=None if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)),
+        u0=run_obj.get("u0"),
         record_trace=run_obj.get("record_trace", True),
         strict_nonnegative=run_obj.get("strict_nonnegative", False),
     )

@@ -69,39 +69,41 @@ def random_small_qp(rng):
     return gt, bt, gh, bh
 
 
-def rowspace_grid_minimum(gt, bt, gh, bh, u_scale, points=121, stages=4):
-    """Brute-force the fallback objective over the player row space.
+def farkas_certificate_checks(gh, bh, y) -> bool:
+    """y >= 0 with Gh^T y = 0 (to 1e-9 relative) and bh . y > 0: then
+    y . (Gh u) = 0 < y . bh for every u, so no u meets Gh u >= bh."""
+    y = np.asarray(y, dtype=float)
+    return bool(
+        np.all(y >= 0)
+        and np.max(np.abs(gh.T @ y)) <= 1e-9 * np.sum(y) * np.max(np.abs(gh))
+        and bh @ y > 0
+    )
 
-    The pseudoinverse recovery confines the solution to the row space of
-    the player system, so the enumeration walks that subspace: a coarse
-    grid over a box (sized from u_scale), then repeated refinements around
-    the incumbent. Returns the best objective found, or None when no grid
-    point is feasible.
+
+def grid_minimum(gt, bt, gh, bh, u_scale, points=41, stages=8):
+    """Brute-force the fallback objective over the whole power space.
+
+    For at most 3 columns: a grid over a box of half-width 3 (1 + u_scale)
+    around the origin, then repeated refinements around the incumbent.
+    Returns the best objective found, or None when no grid point is
+    feasible.
     """
     gt = np.atleast_2d(gt)
     gh = np.atleast_2d(gh)
-    _, sv, vt = np.linalg.svd(gt, full_matrices=False)
-    q = vt[sv > 1e-10 * sv[0]].T  # orthonormal row-space basis, N x r
-    r = q.shape[1]
-
     half = 3.0 * (1.0 + float(u_scale))
-    center = np.zeros(r)
-    best_v, best_obj = None, None
-    for stage in range(stages):
+    center = np.zeros(gt.shape[1])
+    best_u, best_obj = None, None
+    for _ in range(stages):
         axes = [np.linspace(c - half, c + half, points) for c in center]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vs = np.stack([m.ravel() for m in mesh], axis=1)
-        us = vs @ q.T
+        us = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
         feasible = np.all(us @ gh.T >= bh - 1e-9, axis=1)
         if not np.any(feasible):
             return None
         objs = np.linalg.norm(us[feasible] @ gt.T - bt, axis=1)
         k = int(np.argmin(objs))
-        cand_obj = float(objs[k])
-        if best_obj is None or cand_obj < best_obj:
-            best_obj = cand_obj
-            best_v = vs[feasible][k]
-        center = best_v
+        if best_obj is None or objs[k] < best_obj:
+            best_obj, best_u = float(objs[k]), us[feasible][k]
+        center = best_u
         half = 4.0 * (2.0 * half / (points - 1))
     return best_obj
 

@@ -24,21 +24,24 @@ from osnrgame import (
     Span,
     SystemMatrix,
     assemble,
-    build_qp,
     build_system_matrix,
     convergence_rate,
     demo3_scenario,
     demo30_scenario,
     execute,
     power_bounds,
-    recover_primal,
     solve_dsnp,
-    solve_dual,
 )
-from osnrgame.errors import ConvergenceError
+from osnrgame.errors import InfeasibleError
 from osnrgame.iterate import run as iterate_run
+from osnrgame.qp import build_qp, recover_primal, solve_dual
 
-from helpers import random_dominant_instance, random_small_qp, rowspace_grid_minimum
+from helpers import (
+    farkas_certificate_checks,
+    grid_minimum,
+    random_dominant_instance,
+    random_small_qp,
+)
 
 SEED = 424242
 
@@ -185,8 +188,7 @@ def test_criterion_5_power_bound_soundness(capsys):
 def test_criterion_6_qp_oracle_equivalence(capsys, fixture_b):
     t0 = time.perf_counter()
     qp = build_qp(*fixture_b)
-    mu = solve_dual(qp, tol=1e-10, max_iter=20000)
-    res = recover_primal(qp, mu)
+    res = recover_primal(qp, solve_dual(qp))
     fixture_ok = (
         res.objective == pytest.approx(1.0, abs=1e-6)
         and res.u == pytest.approx([1.0, 1.0], abs=1e-6)
@@ -194,31 +196,41 @@ def test_criterion_6_qp_oracle_equivalence(capsys, fixture_b):
 
     rng = np.random.default_rng(20240817)
     solved = 0
+    infeasible = 0
+    bad_certificates = 0
     worst_gap = -np.inf
     worst_comp = 0.0
     while solved < 20:
         gt, bt, gh, bh = random_small_qp(rng)
+        qp = build_qp(gt, bt, gh, bh)
         try:
-            qp = build_qp(gt, bt, gh, bh)
-            mu = solve_dual(qp, tol=1e-10, max_iter=20000)
-        except ConvergenceError:
-            continue  # restricted problem infeasible: no optimum to compare
-        res = recover_primal(qp, mu)
-        oracle = rowspace_grid_minimum(
-            gt, bt, gh, bh, float(np.max(np.abs(res.u)))
-        )
+            least = solve_dual(qp)
+        except InfeasibleError as exc:
+            # an infeasible draw counts only with a Farkas certificate
+            infeasible += 1
+            bad_certificates += not farkas_certificate_checks(gh, bh, exc.certificate)
+            continue
+        res = recover_primal(qp, least)
+        oracle = grid_minimum(gt, bt, gh, bh, float(np.max(np.abs(res.u))))
         assert oracle is not None
         worst_gap = max(worst_gap, abs(res.objective - oracle))
         worst_comp = max(worst_comp, res.complementary_slackness)
         solved += 1
     elapsed = time.perf_counter() - t0
-    ok = fixture_ok and worst_gap <= 5e-3 and worst_comp <= 1e-6 and elapsed < 10.0
+    ok = (
+        fixture_ok
+        and bad_certificates == 0
+        and worst_gap <= 5e-3
+        and worst_comp <= 1e-6
+        and elapsed < 10.0
+    )
     _report(
         capsys,
-        "criterion 6: QP grid-oracle equivalence (20 instances, 5e-3; complementarity 1e-6)",
+        "criterion 6: QP full-space grid-oracle equivalence "
+        "(20 instances, 5e-3; complementarity 1e-6; certified infeasibility)",
         ok,
         f"worst objective gap {worst_gap:.3e}, worst complementarity {worst_comp:.3e}, "
-        f"{elapsed:.2f}s",
+        f"infeasible {infeasible} ({bad_certificates} uncertified), {elapsed:.2f}s",
     )
 
 

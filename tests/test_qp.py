@@ -1,48 +1,67 @@
+"""The fallback problem: min ||Gt u - bt|| s.t. Gh u >= bh, minimum-norm
+minimizer, multipliers on the scale of the squared objective."""
+
+import dataclasses
+
 import numpy as np
 import pytest
 
-from osnrgame import build_qp, build_qp_from_stack, recover_primal, solve_dual, solve_qp
-from osnrgame.errors import ConvergenceError, UsageError
-from osnrgame.qp import dual_objective
+from osnrgame import solve_dsnp, solve_qp
+from osnrgame.errors import InfeasibleError, UsageError
+from osnrgame.qp import (
+    LeastResidual,
+    QpProblem,
+    build_qp,
+    build_qp_from_stack,
+    recover_primal,
+    solve_dual,
+)
 
-from helpers import random_small_qp, rowspace_grid_minimum
+from helpers import (
+    farkas_certificate_checks,
+    grid_minimum,
+    random_dominant_instance,
+    random_small_qp,
+)
+
+
+def solve_arrays(gt, bt, gh, bh, on_step=None):
+    qp = build_qp(gt, bt, gh, bh)
+    return recover_primal(qp, solve_dual(qp, on_step=on_step))
 
 
 class TestBuildQp:
     def test_fixture_b_data(self, fixture_b):
         gt, bt, gh, bh = fixture_b
         qp = build_qp(gt, bt, gh, bh)
-        assert qp.h == pytest.approx(2.0 * np.ones((2, 2)))
-        assert qp.d == pytest.approx([-2.0, -2.0])
-        assert qp.h_pinv == pytest.approx(np.full((2, 2), 0.125), rel=1e-12)
-        assert qp.dual_matrix == pytest.approx(np.array([[-0.5]]), rel=1e-12)
-        assert qp.dual_linear == pytest.approx([1.0], rel=1e-12)
-        assert qp.constant == pytest.approx(1.0)
+        assert [f.name for f in dataclasses.fields(QpProblem)] == [
+            "gamma_tilde", "b_tilde", "gamma_hat", "b_hat",
+        ]
+        assert qp.gamma_tilde == pytest.approx(gt) and qp.gamma_tilde.ndim == 2
+        assert qp.b_tilde == pytest.approx(bt) and qp.b_tilde.ndim == 1
+        assert qp.gamma_hat == pytest.approx(gh) and qp.gamma_hat.ndim == 2
+        assert qp.b_hat == pytest.approx(bh) and qp.b_hat.ndim == 1
 
     def test_gradient_convention(self):
-        # H u + d must be the exact gradient of ||Gt u - bt||^2
+        # mu multiplies the squared objective: its finite-difference gradient
+        # at the optimum equals Gh^T mu
         rng = np.random.default_rng(3)
         gt = rng.normal(size=(2, 3))
         bt = rng.normal(size=2)
-        qp = build_qp(gt, bt, np.ones((1, 3)), np.zeros(1))
-        u = rng.normal(size=3)
+        gh = rng.normal(size=(1, 2)) @ gt  # in the player row space
+        u_ls = np.linalg.lstsq(gt, bt, rcond=None)[0]
+        bh = gh @ u_ls + 1.0  # cut off every unconstrained minimizer
+        res = solve_arrays(gt, bt, gh, bh)
+        assert res.mu[0] > 0.1
         eps = 1e-6
         for k in range(3):
             e = np.zeros(3)
             e[k] = eps
             num = (
-                np.linalg.norm(gt @ (u + e) - bt) ** 2
-                - np.linalg.norm(gt @ (u - e) - bt) ** 2
+                np.linalg.norm(gt @ (res.u + e) - bt) ** 2
+                - np.linalg.norm(gt @ (res.u - e) - bt) ** 2
             ) / (2 * eps)
-            assert (qp.h @ u + qp.d)[k] == pytest.approx(num, rel=1e-6, abs=1e-8)
-
-    def test_dual_matrix_negative_semidefinite(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            gt, bt, gh, bh = random_small_qp(rng)
-            qp = build_qp(gt, bt, gh, bh)
-            w = np.linalg.eigvalsh(qp.dual_matrix)
-            assert np.all(w <= 1e-12)
+            assert (gh.T @ res.mu)[k] == pytest.approx(num, rel=1e-6, abs=1e-8)
 
     def test_usage_errors(self):
         with pytest.raises(UsageError):
@@ -53,54 +72,75 @@ class TestBuildQp:
 
 class TestSolveDual:
     def test_fixture_b_multiplier(self, fixture_b):
-        qp = build_qp(*fixture_b)
-        mu = solve_dual(qp, tol=1e-12)
-        assert mu == pytest.approx([2.0], abs=1e-9)
+        least = solve_dual(build_qp(*fixture_b))
+        assert least.mu == pytest.approx([2.0], abs=1e-12)
+        assert least.working.tolist() == [True]
 
     def test_nonpositive_linear_term_keeps_zero(self):
-        # all constraints slack at the unconstrained minimum: mu* = 0
+        # the unconstrained minimizer already meets the constraint (the
+        # linear term bh - Gh u_ls is nonpositive), so mu* = 0
         gt = np.eye(2)
         bt = np.array([1.0, 1.0])
         gh = np.array([[1.0, 0.0]])
         bh = np.array([0.5])
-        qp = build_qp(gt, bt, gh, bh)
-        assert np.all(qp.dual_linear <= 0)
-        mu = solve_dual(qp, tol=1e-12)
-        assert mu == pytest.approx([0.0], abs=1e-12)
+        assert np.all(bh - gh @ np.linalg.solve(gt, bt) <= 0)
+        least = solve_dual(build_qp(gt, bt, gh, bh))
+        assert least.mu == pytest.approx([0.0], abs=1e-12)
+        assert least.u == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_separable_active_inactive(self):
-        # D = -I, c = (1, -1): the dual maximum sits at (1, 0)
+        # min ||u|| with sqrt2 u1 >= sqrt2 (active) and sqrt2 u2 >= -sqrt2
+        # (inactive): u = (1, 0), mu = (sqrt2, 0)
         s = np.sqrt(2.0)
-        qp = build_qp(
+        res = solve_arrays(
             np.eye(2), np.zeros(2),
             np.array([[s, 0.0], [0.0, s]]), np.array([s, -s]),
         )
-        assert qp.dual_matrix == pytest.approx(-np.eye(2), rel=1e-12)
-        assert qp.dual_linear == pytest.approx([s, -s], rel=1e-12)
-        mu = solve_dual(qp, tol=1e-12)
-        assert mu == pytest.approx([s, 0.0], abs=1e-9)
-        res = recover_primal(qp, mu)
+        assert res.mu == pytest.approx([s, 0.0], abs=1e-9)
         assert res.u == pytest.approx([1.0, 0.0], abs=1e-9)
 
-    def test_monotone_ascent(self, fixture_b):
-        qp = build_qp(*fixture_b)
-        values = []
-        solve_dual(qp, tol=1e-10, on_step=lambda mu, v: values.append(v))
-        diffs = np.diff(values)
-        assert np.all(diffs >= -1e-12 * (1.0 + np.abs(values[:-1])))
-        assert len(values) >= 2
+    def test_monotone_descent(self, fixture_b):
+        # on_step gets (point, value): NNLS multipliers with the NNLS residual,
+        # then power vectors with the objective; neither value ever rises
+        calls = []
+        solve_dual(build_qp(*fixture_b), on_step=lambda x, v: calls.append((len(x), v)))
+        assert len(calls) >= 2
+        n_seekers, n_cols = 1, 2
+        for size in (n_seekers, n_cols):
+            values = [v for n, v in calls if n == size]
+            assert values
+            assert np.all(np.diff(values) <= 1e-12 * (1.0 + np.abs(values[:-1])))
 
-    def test_unbounded_dual_raises(self):
-        # the constraint row lies outside the player row space: no feasible
-        # point is reachable, the dual grows without bound
-        qp = build_qp(
+    def test_seeker_row_outside_player_row_space_is_met(self):
+        # the constraint row lies outside the player row space: the row-space
+        # restriction had no feasible point, the whole space has u = (0, 1)
+        res = solve_arrays(
             np.array([[1.0, 0.0]]), np.array([0.0]),
             np.array([[0.0, 1.0]]), np.array([1.0]),
         )
-        with pytest.raises(ConvergenceError) as exc:
-            solve_dual(qp, tol=1e-10, max_iter=200)
-        assert exc.value.last is not None
-        assert exc.value.last[0] > 0
+        assert res.u == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert res.objective < 1e-12
+        assert res.mu == pytest.approx([0.0], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "gh, bh",
+        [
+            ([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]], [1.0, 1.0]),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]], [1.0, 1.0, -1.0]),
+            ([[0.0, 0.0, 0.0]], [0.5]),
+        ],
+        ids=["opposite", "triangle", "zero_row"],
+    )
+    def test_contradictory_seekers_raise_infeasible(self, gh, bh):
+        gh, bh = np.array(gh), np.array(bh)
+        with pytest.raises(InfeasibleError) as exc:
+            solve_dual(build_qp(np.array([[0.0, 0.0, 1.0]]), np.array([1.0]), gh, bh))
+        y = exc.value.certificate
+        assert y.shape == bh.shape
+        if np.any(gh):
+            assert farkas_certificate_checks(gh, bh, y)
+        else:
+            assert np.all(y >= 0) and bh @ y > 0
 
 
 class TestRecoverPrimal:
@@ -108,30 +148,49 @@ class TestRecoverPrimal:
         rng = np.random.default_rng(5)
         gt = rng.normal(size=(2, 2))
         bt = rng.normal(size=2)
-        qp = build_qp(gt, bt, np.ones((1, 2)), np.array([-100.0]))
-        res = recover_primal(qp, np.zeros(1))
+        res = solve_arrays(gt, bt, np.ones((1, 2)), np.array([-100.0]))
+        assert res.mu == pytest.approx([0.0], abs=1e-12)
         assert res.u == pytest.approx(np.linalg.solve(gt, bt), rel=1e-9)
         assert res.objective < 1e-9
         assert res.stationarity_residual < 1e-9
 
     def test_fixture_b_end_to_end(self, fixture_b):
-        res = solve_qp_from_arrays(*fixture_b)
-        assert res.u == pytest.approx([1.0, 1.0], abs=1e-7)
-        assert res.objective == pytest.approx(1.0, abs=1e-7)
-        assert res.stationarity_residual < 1e-6
-        assert res.primal_feasibility_violation < 1e-7
-        assert res.complementary_slackness < 1e-6
+        res = solve_arrays(*fixture_b)
+        assert res.u == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert res.objective == pytest.approx(1.0, abs=1e-12)
+        assert res.stationarity_residual < 1e-12
+        assert res.primal_feasibility_violation < 1e-12
+        assert res.complementary_slackness < 1e-12
 
     def test_negative_multiplier_rejected(self, fixture_b):
         qp = build_qp(*fixture_b)
+        least = LeastResidual(
+            mu=np.array([-1.0]), u=np.array([1.0, 1.0]), working=np.array([True])
+        )
         with pytest.raises(UsageError):
-            recover_primal(qp, np.array([-1.0]))
+            recover_primal(qp, least)
 
+    def test_minimum_norm_over_the_player_null_space(self):
+        # every u with u1 = 1 and u2 + u3 >= 2 has objective 0; the shortest
+        # is (1, 1, 1), outside the player row space span{e1}
+        res = solve_arrays(
+            np.array([[1.0, 0.0, 0.0]]), np.array([1.0]),
+            np.array([[0.0, 1.0, 1.0]]), np.array([2.0]),
+        )
+        assert res.u == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+        assert res.objective < 1e-12
 
-def solve_qp_from_arrays(gt, bt, gh, bh, tol=1e-10, max_iter=20000):
-    qp = build_qp(gt, bt, gh, bh)
-    mu = solve_dual(qp, tol=tol, max_iter=max_iter)
-    return recover_primal(qp, mu)
+    def test_duplicate_player_rows(self):
+        # rank-deficient objective: two copies of u1 + u2 asking for 1 and 3;
+        # the least residual puts u1 + u2 = 2 (objective sqrt2) and the
+        # seeker row u3 >= 1 stays active at the minimum-norm point (1, 1, 1)
+        res = solve_arrays(
+            np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]]), np.array([1.0, 3.0]),
+            np.array([[0.0, 0.0, 1.0]]), np.array([1.0]),
+        )
+        assert res.u == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+        assert res.objective == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert res.mu == pytest.approx([0.0], abs=1e-12)
 
 
 class TestAgainstGridOracle:
@@ -141,21 +200,22 @@ class TestAgainstGridOracle:
         for _ in range(25):
             gt, bt, gh, bh = random_small_qp(rng)
             try:
-                res = solve_qp_from_arrays(gt, bt, gh, bh, tol=1e-10)
-            except ConvergenceError:
-                continue  # restricted primal infeasible; covered elsewhere
-            u_scale = float(np.max(np.abs(res.u)))
-            oracle = rowspace_grid_minimum(gt, bt, gh, bh, u_scale)
+                res = solve_arrays(gt, bt, gh, bh)
+            except InfeasibleError as exc:
+                assert farkas_certificate_checks(gh, bh, exc.certificate)
+                continue
+            oracle = grid_minimum(gt, bt, gh, bh, float(np.max(np.abs(res.u))))
             assert oracle is not None
-            assert res.objective <= oracle + 5e-3
-            assert res.primal_feasibility_violation < 1e-6
-            assert res.complementary_slackness < 1e-6
+            assert res.objective <= oracle + 1e-5
+            assert res.primal_feasibility_violation < 1e-9
+            assert res.complementary_slackness < 1e-9
+            assert res.stationarity_residual < 1e-9
             solved += 1
-        assert solved >= 10
+        assert solved >= 20
 
     def test_feasible_family_degenerates_to_exact(self):
-        # constraints built inside the player row space and slack at the
-        # interpolating point: the fallback reproduces the exact solution
+        # constraints slack at the minimum-norm interpolating point: the
+        # fallback returns that point with mu = 0
         rng = np.random.default_rng(99)
         for _ in range(15):
             n_cols = int(rng.integers(2, 5))
@@ -166,26 +226,46 @@ class TestAgainstGridOracle:
             mrows = rng.normal(size=(2, m))
             gh = mrows @ a
             bh = gh @ u0_r - rng.uniform(0.1, 1.0, 2)
-            res = solve_qp_from_arrays(a, bt, gh, bh, tol=1e-12)
+            res = solve_arrays(a, bt, gh, bh)
             assert res.mu == pytest.approx(np.zeros(2), abs=1e-10)
             assert res.objective < 1e-8
             assert res.primal_feasibility_violation == 0.0
+            assert res.u == pytest.approx(u0_r, abs=1e-9)
 
 
 class TestSolveQpOnStack:
     def test_matches_manual_pipeline(self, fixture_a):
         _, _, stack = fixture_a
         qp = build_qp_from_stack(stack)
-        mu = solve_dual(qp, tol=1e-10)
-        manual = recover_primal(qp, mu)
-        auto = solve_qp(stack, tol=1e-10)
-        assert auto.u == pytest.approx(manual.u, rel=1e-9, abs=1e-12)
-        assert auto.objective == pytest.approx(manual.objective, abs=1e-12)
+        manual = recover_primal(qp, solve_dual(qp))
+        auto = solve_qp(stack)
+        assert auto.u == pytest.approx(manual.u, rel=1e-12, abs=1e-15)
+        assert auto.objective == pytest.approx(manual.objective, abs=1e-15)
 
     def test_weak_duality_on_stack(self, fixture_a):
+        # the Lagrangian dual value at mu, min over u of
+        # ||Gt u - bt||^2 - mu . (Gh u - bh), computed here by least squares,
+        # never exceeds the attained squared norm, and meets it at the optimum
         _, _, stack = fixture_a
         qp = build_qp_from_stack(stack)
-        mu = solve_dual(qp, tol=1e-10)
-        res = recover_primal(qp, mu)
-        # dual value (squared scale) never exceeds the attained squared norm
-        assert dual_objective(qp, mu) <= res.objective**2 + 1e-9
+        res = recover_primal(qp, solve_dual(qp))
+        gt, bt, gh, bh = qp.gamma_tilde, qp.b_tilde, qp.gamma_hat, qp.b_hat
+        rhs = 2.0 * gt.T @ bt + gh.T @ res.mu
+        u = np.linalg.lstsq(2.0 * gt.T @ gt, rhs, rcond=None)[0]
+        assert np.allclose(2.0 * gt.T @ gt @ u, rhs, atol=1e-9)  # bounded below
+        dual = np.linalg.norm(gt @ u - bt) ** 2 - res.mu @ (gh @ u - bh)
+        assert dual <= res.objective**2 + 1e-9
+        assert dual == pytest.approx(res.objective**2, abs=1e-9)
+
+    def test_dominant_instances_reach_the_targets_with_least_power(self):
+        # the direct solution meets every row, so the fallback reaches
+        # objective 0, and its minimum-norm answer is no longer than it
+        rng = np.random.default_rng(20241018)
+        for _ in range(30):
+            sysm, partition, system = random_dominant_instance(rng, n_max=30)
+            u_direct = solve_dsnp(system, sysm, partition).u
+            res = solve_qp(system)
+            scale = float(np.max(np.abs(system.b)))
+            assert res.objective <= 1e-9 * scale
+            assert res.primal_feasibility_violation <= 1e-9 * scale
+            assert np.linalg.norm(res.u) <= np.linalg.norm(u_direct) + 1e-9

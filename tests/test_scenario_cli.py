@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import osnrgame
 from osnrgame import RunOptions, demo3_scenario, demo30_scenario, execute, load_scenario
 from osnrgame.cli import main
 from osnrgame.direct import Solution
-from osnrgame.errors import ScenarioError
+from osnrgame.errors import InfeasibleError, ScenarioError
 from osnrgame.qp import QpResult
 from osnrgame.run import emit, report_to_dict
 from osnrgame.scenario import (
@@ -40,6 +41,13 @@ SINGULAR_DOC = {
         {"role": "seeker", "target_osnr_db": 10.0 * np.log10(2000.0)},
     ],
 }
+
+
+def subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports this osnrgame."""
+    src = str(pathlib.Path(osnrgame.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -313,12 +321,9 @@ class TestCli:
 
     def test_demo30_zero_start_is_clean(self, tmp_path):
         # the real CLI process, so any warning would reach its stderr
-        src = str(pathlib.Path(osnrgame.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "osnrgame.cli", "demo30", "--u0", "0"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
@@ -326,6 +331,61 @@ class TestCli:
         assert doc["path_taken"] == "direct"
         assert doc["trace"]["converged_at"] is not None
         assert doc["trace"]["negative_steps"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["demo30", "--u0", "inf"], ["demo30", "--u0", "nan"], ["demo3", "--u0", "1,abc"]],
+        ids=["demo30-inf", "demo30-nan", "demo3-not-a-number"],
+    )
+    def test_bad_u0_override_is_an_input_error(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: run.u0 must be") and out.err.count("\n") == 1
+
+    def test_infinite_u0_in_scenario_is_an_input_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(FIXTURE_A_DOC))
+        doc["run"] = {"u0": float("inf")}
+        path = write_doc(tmp_path, doc)
+        assert '"u0": Infinity' in pathlib.Path(path).read_text()
+        assert main(["iterate", path]) == 1
+        out = capsys.readouterr()
+        assert out.err == "error: run.u0 must be finite, got [inf]\n"
+
+    def test_contradictory_seekers_exit_2_with_certificate(self, tmp_path, capsys):
+        # seeker rows (0, 0.9, -0.9) and (0, -0.9, 0.9) with right-hand sides
+        # 1 and 1: their sum reads 0 >= 2, so the QP fallback has no point
+        doc = {
+            "matrix": {
+                "gamma": [[0.001, 0.001, 0.001], [0.0, 0.001, 0.009], [0.0, 0.009, 0.001]],
+                "n0": [0.01, 0.01, 0.01],
+            },
+            "partition": [
+                {"role": "player", "alpha": 1.0, "beta": 2.0, "a": 0.01},
+                {"role": "seeker", "target_osnr_db": 20.0},
+                {"role": "seeker", "target_osnr_db": 20.0},
+            ],
+        }
+        with pytest.raises(InfeasibleError) as exc:
+            execute(scenario_from_dict(doc))
+        assert exc.value.certificate == pytest.approx([0.5, 0.5], rel=1e-9)
+        assert main(["solve", write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: no power vector meets the seeker targets\n"
+        )
+
+    def test_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize costs about 0.3 s per process start
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, osnrgame; print(sorted(m for m in sys.modules"
+             " if m.startswith('scipy.optimize')))"],
+            env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_run_module_is_not_shadowed(self):
         assert isinstance(osnrgame.run, types.ModuleType)
@@ -391,9 +451,12 @@ class TestSchemaParity:
             lambda d: d.update(run={"record_trace": "yes"}),
             lambda d: d.update(run={"record_trace": 1}),
             lambda d: d.update(run={"strict_nonnegative": "no"}),
+            lambda d: d.update(run={"u0": float("inf")}),
+            lambda d: d.update(run={"u0": [0.5, float("-inf")]}),
         ],
         ids=["solver", "tol-zero", "tol-negative", "max-iter-zero", "player-without-a",
-             "record-trace-str", "record-trace-int", "strict-nonneg-str"],
+             "record-trace-str", "record-trace-int", "strict-nonneg-str",
+             "u0-infinity", "u0-array-minus-infinity"],
     )
     def test_malformed_rejected_by_both(self, mutate, schema_validator):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
