@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .errors import EvaluationError
 from .link import SystemMatrix
-from .model import ChannelSystem, PlayerParams, ServicePartition, osnr_from_coupled
+from .model import ChannelSystem, PlayerParams, ServicePartition, osnr, to_db
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,18 @@ def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
 def verify(
     u: np.ndarray, system: ChannelSystem, sys: SystemMatrix, partition: ServicePartition
 ) -> Solution:
-    """Package a power vector with its OSNR values and verification residuals."""
+    """Package a power vector with its OSNR values and verification residuals;
+    raises EvaluationError at the first channel whose OSNR denominator is
+    not positive."""
     u = np.asarray(u, dtype=float)
     coupled = sys.gamma @ u
-    osnr_vals = osnr_from_coupled(u, coupled, sys)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        osnr_dbs = np.where(osnr_vals > 0, 10.0 * np.log10(osnr_vals), np.nan)
+    osnr_vals = osnr(u, sys, coupled)
+    bad = np.flatnonzero(np.isnan(osnr_vals))
+    if bad.size:
+        i = int(bad[0])
+        raise EvaluationError(
+            f"channel {i}: non-positive OSNR denominator {sys.n0[i] + coupled[i]}", channel=i
+        )
 
     p = system.is_player
     targets = np.array([r.gamma for r in partition.roles if not isinstance(r, PlayerParams)])
@@ -111,7 +118,7 @@ def verify(
     return Solution(
         u=u,
         osnr=osnr_vals,
-        osnr_db=osnr_dbs,
+        osnr_db=to_db(osnr_vals),
         seeker_residuals=seeker_res,
         player_foc_residuals=foc_res,
         nonnegative=nonnegative,

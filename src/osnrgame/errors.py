@@ -31,7 +31,8 @@ class NumericalError(OsnrGameError):
 
 
 class EvaluationError(NumericalError):
-    """An OSNR or cost evaluation hit a non-positive denominator/log argument."""
+    """An evaluation had no valid value: a non-positive OSNR denominator, a
+    zero update pivot or a wavelength outside a gain table."""
 
     def __init__(self, message, channel=None):
         super().__init__(message)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, DivergenceError, EvaluationError, NegativePowerError, ValidationError
-from .link import SystemMatrix
 from .model import ChannelSystem
 
 DIVERGENCE_LIMIT_MW = 1e12
@@ -39,8 +38,8 @@ class IterationConfig:
 
 @dataclass
 class IterationTrace:
-    iterates: list[np.ndarray] = field(default_factory=list)
-    osnr_db_history: list[np.ndarray] = field(default_factory=list)
+    # every iterate when record_trace is set; only the CSV trace reads them
+    iterates: list[np.ndarray] = field(default_factory=list, metadata={"json": False})
     error_history: list[float] = field(default_factory=list)
     contraction_ratios: list[float | None] = field(default_factory=list)
     negative_steps: list[int] = field(default_factory=list)
@@ -76,19 +75,9 @@ def convergence_rate(system: ChannelSystem) -> float:
     return float(np.max((np.abs(system.A).sum(axis=1) - diag) / diag))
 
 
-def trace_osnr_db(u: np.ndarray, sys: SystemMatrix) -> np.ndarray:
-    """Every channel's OSNR in dB, NaN where the denominator or the ratio is
-    not positive, as transient iterates can be; raising is left to the update."""
-    den = sys.n0 + sys.gamma @ u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(den > 0, u / den, np.nan)
-        return np.where(ratio > 0, 10.0 * np.log10(ratio), np.nan)
-
-
 def run(
     config: IterationConfig,
     system: ChannelSystem,
-    sys: SystemMatrix,
     reference: np.ndarray | None = None,
 ) -> IterationTrace:
     """Iterate until the successive difference drops under tol.
@@ -116,7 +105,6 @@ def run(
     def record(vec: np.ndarray, step_idx: int):
         if config.record_trace:
             trace.iterates.append(vec.copy())
-            trace.osnr_db_history.append(trace_osnr_db(vec, sys))
         if reference is not None:
             err = float(np.max(np.abs(vec - reference)))
             if trace.error_history:

@@ -12,7 +12,6 @@ inside the arithmetic, wavelengths in nm.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,12 +25,6 @@ SPEED_OF_LIGHT_M_S = 299792458.0
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise EvaluationError(f"cannot convert non-positive ratio {x} to dB")
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -79,11 +72,6 @@ class GainProfile:
             raise EvaluationError(f"wavelength {bad[0]} nm outside tabulated range [{lo}, {hi}]")
         wls, gains = zip(*self.table)
         return np.interp(wl, wls, gains)
-
-
-def evaluate_gain(profile: GainProfile, wavelength_nm: float) -> float:
-    """Linear gain ratio of an amplifier at the given wavelength."""
-    return float(db_to_linear(profile.gain_db(wavelength_nm)))
 
 
 @dataclass(frozen=True)
@@ -217,13 +205,6 @@ def _ase_mw(span: Span, wavelength_nm: np.ndarray, gain: np.ndarray, ids) -> np.
         span.ase.optical_bandwidth_GHz * 1e9
     )
     return np.where(clamped, 0.0, ase_w * 1e3)
-
-
-def span_ase(span: Span, channel: ChannelSpec) -> float:
-    """ASE power (mW) one amplifier adds into the channel's bandwidth."""
-    wl = np.array([channel.wavelength_nm])
-    gain = db_to_linear(span.gain_profile.gain_db(wl))
-    return float(_ase_mw(span, wl, gain, [channel.id])[0])
 
 
 def build_system_matrix(

@@ -1,5 +1,5 @@
-"""Allocation-problem data: roles, OSNR evaluation, player cost, and the
-channel-ordered linear system.
+"""Allocation-problem data: roles, the OSNR, and the channel-ordered
+linear system.
 
 Channel powers are plain float ndarrays (mW). A power vector may carry
 negative entries: the solvers work on affine systems and flag negativity
@@ -8,7 +8,6 @@ downstream instead of clamping.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,8 +15,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import EvaluationError, SingularMatrixError, UsageError, ValidationError
-from .link import SystemMatrix, linear_to_db
+from .errors import SingularMatrixError, UsageError, ValidationError
+from .link import SystemMatrix
 
 SINGULARITY_RTOL = 1e-12
 
@@ -141,59 +140,20 @@ class ChannelSystem:
         return factors
 
 
-def osnr(u: np.ndarray, sys: SystemMatrix, i: int) -> float:
-    """Signal-to-noise ratio of channel i: u_i over transmitter noise plus
-    all coupled powers (the self term included)."""
+def osnr(u: np.ndarray, sys: SystemMatrix, coupled: np.ndarray | None = None) -> np.ndarray:
+    """Every channel's OSNR u_i / (n0_i + (Gamma u)_i), the self term
+    included; NaN where the denominator is not positive. coupled is Gamma u
+    when the caller already has it. Whoever calls decides what a NaN means."""
     u = np.asarray(u, dtype=float)
-    den = sys.n0[i] + float(np.dot(sys.gamma[i], u))
-    if den <= 0:
-        raise EvaluationError(
-            f"channel {i}: non-positive OSNR denominator {den}", channel=i
-        )
-    return float(u[i]) / den
+    den = sys.n0 + (sys.gamma @ u if coupled is None else coupled)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, u / den, np.nan)
 
 
-def osnr_all(u: np.ndarray, sys: SystemMatrix) -> np.ndarray:
-    """Every channel's OSNR from one matrix-vector product."""
-    u = np.asarray(u, dtype=float)
-    return osnr_from_coupled(u, sys.gamma @ u, sys)
-
-
-def osnr_from_coupled(u: np.ndarray, coupled: np.ndarray, sys: SystemMatrix) -> np.ndarray:
-    """Every channel's OSNR given the coupled powers Gamma u; raises at the
-    first channel whose denominator n0_i + (Gamma u)_i is not positive."""
-    den = sys.n0 + coupled
-    bad = np.flatnonzero(den <= 0)
-    if bad.size:
-        i = int(bad[0])
-        raise EvaluationError(
-            f"channel {i}: non-positive OSNR denominator {den[i]}", channel=i
-        )
-    return u / den
-
-
-def osnr_db(u: np.ndarray, sys: SystemMatrix, i: int) -> float:
-    val = osnr(u, sys, i)
-    if val <= 0:
-        raise EvaluationError(f"channel {i}: non-positive OSNR {val}", channel=i)
-    return linear_to_db(val)
-
-
-def interference(u: np.ndarray, sys: SystemMatrix, i: int) -> float:
-    """Noise seen by channel i excluding its own coupled power."""
-    u = np.asarray(u, dtype=float)
-    return sys.n0[i] + float(np.dot(sys.gamma[i], u)) - sys.gamma[i, i] * float(u[i])
-
-
-def player_cost(i: int, u: np.ndarray, sys: SystemMatrix, params: PlayerParams) -> float:
-    """Pricing-minus-utility cost of a game player at the power profile u."""
-    x = interference(u, sys, i)
-    if x <= 0:
-        raise EvaluationError(f"channel {i}: non-positive interference {x}", channel=i)
-    arg = 1.0 + params.a * float(u[i]) / x
-    if arg <= 0:
-        raise EvaluationError(f"channel {i}: non-positive log argument {arg}", channel=i)
-    return params.alpha * float(u[i]) - params.beta * math.log(arg)
+def to_db(ratio: np.ndarray) -> np.ndarray:
+    """10 log10 of each ratio; NaN where the ratio is not positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ratio > 0, 10.0 * np.log10(ratio), np.nan)
 
 
 def assemble(sys: SystemMatrix, partition: ServicePartition) -> ChannelSystem:

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys as _sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from . import qp as qp_mod
 from .direct import BoundsReport, FeasibilityReport, Solution
 from .errors import ConvergenceError, DivergenceError, OutputError
 from .iterate import IterationConfig, IterationTrace
-from .model import assemble
+from .link import SystemMatrix
+from .model import assemble, osnr, to_db
 from .qp import QpResult
 from .scenario import Scenario
 
@@ -39,6 +40,8 @@ class RunReport:
     sigma: float | None
     power_limit_violations: list[str]
     timing_s: dict[str, float]
+    # the coupling matrix solved on; the CSV trace derives its OSNRs from it
+    matrix: SystemMatrix = field(metadata={"json": False})
 
 
 def _limit_violations(scenario: Scenario, u: np.ndarray) -> list[str]:
@@ -95,7 +98,7 @@ def execute(scenario: Scenario) -> RunReport:
         if feas.nonsingular:
             reference = direct_mod.solve_dsnp(system, sysmat, partition).u
         sigma = iterate_mod.convergence_rate(system)
-        trace = iterate_mod.run(iteration_config(), system, sysmat, reference=reference)
+        trace = iterate_mod.run(iteration_config(), system, reference=reference)
         solution = direct_mod.verify(trace.final, system, sysmat, partition)
     else:  # auto
         path = "direct"
@@ -104,9 +107,7 @@ def execute(scenario: Scenario) -> RunReport:
         sigma = iterate_mod.convergence_rate(system)
         if sigma < 1.0:
             try:
-                trace = iterate_mod.run(
-                    iteration_config(), system, sysmat, reference=solution.u
-                )
+                trace = iterate_mod.run(iteration_config(), system, reference=solution.u)
             except (ConvergenceError, DivergenceError) as exc:
                 # the cross-check failed; the verified direct answer stands,
                 # and the partial trace (converged_at null) shows how far it got
@@ -123,12 +124,18 @@ def execute(scenario: Scenario) -> RunReport:
         sigma=sigma,
         power_limit_violations=violations,
         timing_s=timing,
+        matrix=sysmat,
     )
 
 
 def to_jsonable(obj):
+    """Plain JSON data; dataclass fields marked metadata={"json": False} are left out."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {
+            f.name: to_jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+            if f.metadata.get("json", True)
+        }
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
@@ -147,8 +154,6 @@ def report_to_dict(report: RunReport, include_timing: bool = False) -> dict:
     if not include_timing:
         # wall-clock varies run to run; dropping it keeps output byte-stable
         doc.pop("timing_s")
-    if doc["trace"] is not None:
-        del doc["trace"]["iterates"], doc["trace"]["osnr_db_history"]
     return doc
 
 
@@ -157,7 +162,8 @@ def _csv_rows(report: RunReport):
     trace = report.trace
     if trace is None:
         return
-    for step_idx, (u, db) in enumerate(zip(trace.iterates, trace.osnr_db_history)):
+    for step_idx, u in enumerate(trace.iterates):
+        db = to_db(osnr(u, report.matrix))  # NaN where an iterate has no OSNR
         err = (
             f"{trace.error_history[step_idx]:.12f}"
             if step_idx < len(trace.error_history)

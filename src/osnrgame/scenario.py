@@ -12,6 +12,7 @@ input.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .link import (
     Span,
     SystemMatrix,
     build_system_matrix,
+    db_to_linear,
 )
 from .model import PlayerParams, SeekerParams, ServicePartition
 
@@ -53,15 +55,25 @@ class RunOptions:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ScenarioError(f"run.solver must be one of {SOLVERS}, got {self.solver!r}")
-        if self.tol <= 0:
+        for name in ("tol", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ScenarioError(f"run.{name} must be a number, got {value!r}")
+        if not self.tol > 0:
             raise ScenarioError("run.tol must be > 0")
+        if not float(self.max_iter).is_integer():
+            raise ScenarioError(f"run.max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ScenarioError("run.max_iter must be >= 1")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         for name in ("record_trace", "strict_nonnegative"):
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise ScenarioError(f"run.{name} must be true or false, got {value!r}")
         if self.u0 is not None:
+            raw = self.u0 if isinstance(self.u0, (list, tuple, np.ndarray)) else [self.u0]
+            if any(isinstance(v, (bool, np.bool_)) for v in raw):
+                raise ScenarioError(f"run.u0 must be numbers, got {self.u0!r}")
             try:
                 u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
             except (TypeError, ValueError):
@@ -117,10 +129,6 @@ def wavelength_grid(n: int, center_nm: float = DEFAULT_CENTER_NM,
     return [center_nm + (i - (n - 1) / 2.0) * spacing_nm for i in range(n)]
 
 
-def db_to_ratio(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
-
-
 def _parse_gain(obj: dict) -> GainProfile:
     table = obj.get("table")
     return GainProfile(
@@ -169,7 +177,7 @@ def _parse_role(obj: dict, where: str) -> PlayerParams | SeekerParams:
     if role == "seeker":
         if "target_osnr_db" not in obj:
             raise ScenarioError(f"{where}: seeker role missing field 'target_osnr_db'")
-        return SeekerParams(gamma=db_to_ratio(obj["target_osnr_db"]))
+        return SeekerParams(gamma=db_to_linear(obj["target_osnr_db"]))
     raise ScenarioError(f"{where}: role must be 'player' or 'seeker', got {role!r}")
 
 

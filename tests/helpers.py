@@ -1,20 +1,64 @@
-"""Shared random-instance generators and brute-force oracles."""
+"""Shared random-instance generators and brute-force and scalar oracles."""
 
 from __future__ import annotations
 
+import math
+import os
+import pathlib
+
 import numpy as np
 
-from osnrgame import (
+import osnrgame
+from osnrgame import PlayerParams, SeekerParams, ServicePartition, SystemMatrix, assemble
+from osnrgame.errors import EvaluationError
+from osnrgame.link import (
+    PLANCK_J_S,
+    SPEED_OF_LIGHT_M_S,
     ChannelSpec,
     LinkNetwork,
-    PlayerParams,
-    SeekerParams,
-    ServicePartition,
-    SystemMatrix,
-    assemble,
-    evaluate_gain,
+    db_to_linear,
 )
-from osnrgame.link import PLANCK_J_S, SPEED_OF_LIGHT_M_S, db_to_linear
+
+
+def subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports this osnrgame."""
+    src = str(pathlib.Path(osnrgame.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def osnr_scalar(u, sysm, i) -> float:
+    """Channel i's OSNR, one channel at a time: u_i over transmitter noise
+    plus all coupled powers (the self term included)."""
+    den = sysm.n0[i] + float(np.dot(sysm.gamma[i], u))
+    if den <= 0:
+        raise EvaluationError(f"channel {i}: non-positive OSNR denominator {den}", channel=i)
+    return float(u[i]) / den
+
+
+def osnr_db_scalar(u, sysm, i) -> float:
+    """Channel i's OSNR in dB; raises where the OSNR is not positive."""
+    val = osnr_scalar(u, sysm, i)
+    if val <= 0:
+        raise EvaluationError(f"channel {i}: non-positive OSNR {val}", channel=i)
+    return 10.0 * math.log10(val)
+
+
+def interference(u, sysm, i) -> float:
+    """Noise seen by channel i excluding its own coupled power."""
+    return sysm.n0[i] + float(np.dot(sysm.gamma[i], u)) - sysm.gamma[i, i] * float(u[i])
+
+
+def player_cost(i, u, sysm, params) -> float:
+    """Pricing-minus-utility cost of game player i at the power profile u:
+    alpha u_i - beta log(1 + a u_i / X_-i)."""
+    x = interference(u, sysm, i)
+    if x <= 0:
+        raise EvaluationError(f"channel {i}: non-positive interference {x}", channel=i)
+    arg = 1.0 + params.a * float(u[i]) / x
+    if arg <= 0:
+        raise EvaluationError(f"channel {i}: non-positive log argument {arg}", channel=i)
+    return params.alpha * float(u[i]) - params.beta * math.log(arg)
 
 
 def random_dominant_instance(rng, n_max=30, bounds_regime=False):
@@ -108,11 +152,16 @@ def grid_minimum(gt, bt, gh, bh, u_scale, points=41, stages=8):
     return best_obj
 
 
+def _loop_gain(profile, wavelength_nm: float) -> float:
+    """Linear gain ratio of an amplifier at one wavelength."""
+    return float(db_to_linear(profile.gain_db(wavelength_nm)))
+
+
 def _loop_span_ase(span, channel) -> float:
     """Scalar per-span ASE (mW): the physical formula, clamped at 0 for G < 1."""
     if span.ase.fixed_ase_mW is not None:
         return span.ase.fixed_ase_mW
-    gain = evaluate_gain(span.gain_profile, channel.wavelength_nm)
+    gain = _loop_gain(span.gain_profile, channel.wavelength_nm)
     if gain < 1.0:
         return 0.0
     nu = SPEED_OF_LIGHT_M_S / (channel.wavelength_nm * 1e-9)
@@ -127,7 +176,7 @@ def _loop_cumulative_products(link, wavelength_nm: float) -> np.ndarray:
     out = np.empty(len(link.spans))
     acc = 1.0
     for k, span in enumerate(link.spans):
-        acc *= evaluate_gain(span.gain_profile, wavelength_nm) * db_to_linear(
+        acc *= _loop_gain(span.gain_profile, wavelength_nm) * db_to_linear(
             -span.loss_dB
         )
         out[k] = acc

@@ -12,33 +12,34 @@ import numpy as np
 import pytest
 
 from osnrgame import (
-    AseParams,
-    ChannelSpec,
-    GainProfile,
-    IterationConfig,
-    Link,
-    LinkNetwork,
     PlayerParams,
     SeekerParams,
     ServicePartition,
-    Span,
     SystemMatrix,
     assemble,
-    build_system_matrix,
     convergence_rate,
-    demo3_scenario,
-    demo30_scenario,
     execute,
     power_bounds,
     solve_dsnp,
 )
 from osnrgame.errors import InfeasibleError
-from osnrgame.iterate import run as iterate_run
+from osnrgame.iterate import IterationConfig, run as iterate_run
+from osnrgame.link import (
+    AseParams,
+    ChannelSpec,
+    GainProfile,
+    Link,
+    LinkNetwork,
+    Span,
+    build_system_matrix,
+)
 from osnrgame.qp import build_qp, recover_primal, solve_dual
+from osnrgame.scenario import demo3_scenario, demo30_scenario
 
 from helpers import (
     farkas_certificate_checks,
     grid_minimum,
+    player_cost,
     random_dominant_instance,
     random_small_qp,
 )
@@ -85,17 +86,26 @@ def test_criterion_1_seeker_exactness(capsys):
 
 def test_criterion_2_player_stationarity(capsys):
     worst = 0.0
+    # the first-order rows hold, and no player lowers its own cost (the
+    # scalar oracle) by moving its power 1e-4 relative either way
+    moves_that_pay = 0
     for sysm, part, stack in _instances():
         sol = solve_dsnp(stack, sysm, part)
         scale = float(np.linalg.norm(stack.b[stack.is_player], np.inf)) if stack.m else 1.0
         if len(sol.player_foc_residuals):
             worst = max(worst, float(np.max(sol.player_foc_residuals)) / scale)
-    ok = worst <= 1e-10
+        for i in np.flatnonzero(stack.is_player):
+            cost = player_cost(i, sol.u, sysm, part.roles[i])
+            for move in (1e-4, -1e-4):
+                u = sol.u.copy()
+                u[i] += move * max(1.0, abs(u[i]))
+                moves_that_pay += player_cost(i, u, sysm, part.roles[i]) < cost
+    ok = worst <= 1e-10 and moves_that_pay == 0
     _report(
         capsys,
         "criterion 2: player stationarity (first-order rows, 1e-10 relative)",
         ok,
-        f"worst scaled residual {worst:.3e}",
+        f"worst scaled residual {worst:.3e}, {moves_that_pay} cost-lowering moves",
     )
 
 
@@ -108,7 +118,7 @@ def test_criterion_3_direct_iterative_agreement(capsys):
             u0=np.full(stack.size, 0.5), tol=1e-10, record_trace=False
         )
         t0 = time.perf_counter()
-        trace = iterate_run(cfg, stack, sysm, reference=sol.u)
+        trace = iterate_run(cfg, stack, reference=sol.u)
         worst_time = max(worst_time, time.perf_counter() - t0)
         worst_gap = max(worst_gap, float(np.max(np.abs(trace.final - sol.u))))
     ok = worst_gap <= 1e-8 and worst_time < 0.1
@@ -130,7 +140,7 @@ def test_criterion_4_contraction_certificate(capsys):
         cfg = IterationConfig(
             u0=np.full(stack.size, 0.5), tol=1e-10, record_trace=False
         )
-        trace = iterate_run(cfg, stack, sysm, reference=sol.u)
+        trace = iterate_run(cfg, stack, reference=sol.u)
         ratios = [r for r in trace.contraction_ratios if r is not None]
         if ratios:
             worst_excess = max(worst_excess, max(ratios) - sigma)

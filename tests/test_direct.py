@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osnrgame import (
-    ChannelSystem,
     PlayerParams,
     SeekerParams,
     ServicePartition,
@@ -18,10 +17,10 @@ from osnrgame import (
     solve_dsnp,
 )
 from osnrgame.direct import verify
-from osnrgame.model import osnr
-from osnrgame.errors import SingularMatrixError
+from osnrgame.errors import EvaluationError, SingularMatrixError
+from osnrgame.model import ChannelSystem
 
-from helpers import random_dominant_instance
+from helpers import osnr_scalar, random_dominant_instance
 
 
 def make(gamma, n0, roles):
@@ -145,6 +144,24 @@ class TestSolveDsnp:
         assert sol.seeker_residuals[0] < 1e-12
         assert sol.player_foc_residuals[0] < 1e-15
 
+    def test_verify_raises_at_first_nonpositive_denominator(self):
+        # channels 1 and 2 have no noise floor; a zero and a negative power
+        # leave their OSNR denominators at 0 and -0.001
+        sysm, part, stack = make(
+            np.diag([0.0, 0.0, 0.001]), [0.01, 0.0, 0.0],
+            [PlayerParams(1.0, 2.0, 0.01), SeekerParams(100.0), SeekerParams(100.0)],
+        )
+        with pytest.raises(EvaluationError, match="channel 1: non-positive") as exc:
+            verify(np.array([1.0, 0.0, -1.0]), stack, sysm, part)
+        assert exc.value.channel == 1
+
+    def test_verify_osnr_db_nan_where_ratio_not_positive(self, fixture_a):
+        # a negative power has a positive denominator but no OSNR in dB
+        sysm, part, stack = fixture_a
+        with pytest.warns(UserWarning, match="negative power"):
+            sol = verify(np.array([-0.5, 1.0]), stack, sysm, part)
+        assert sol.osnr[0] < 0 and np.isnan(sol.osnr_db[0])
+        assert sol.osnr_db[1] == pytest.approx(10 * np.log10(sol.osnr[1]), abs=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
@@ -158,7 +175,7 @@ class TestSolveDsnp:
         scale = np.abs(stack.A[p]) @ u + np.abs(stack.b[p])
         assert np.all(np.abs(sol.player_foc_residuals - want_foc) <= 1e-13 * scale)
         want_seek = [
-            abs(osnr(u, sysm, i) - part.roles[i].gamma) / part.roles[i].gamma
+            abs(osnr_scalar(u, sysm, i) - part.roles[i].gamma) / part.roles[i].gamma
             for i in np.flatnonzero(~p)
         ]
         assert sol.seeker_residuals == pytest.approx(want_seek, rel=1e-12)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osnrgame import (
-    IterationConfig,
     PlayerParams,
     SeekerParams,
     ServicePartition,
@@ -14,7 +13,6 @@ from osnrgame import (
     assemble,
     convergence_rate,
     solve_dsnp,
-    step,
 )
 from osnrgame.errors import (
     ConvergenceError,
@@ -23,8 +21,9 @@ from osnrgame.errors import (
     NegativePowerError,
     ValidationError,
 )
-from osnrgame.iterate import run, trace_osnr_db
-from osnrgame.model import osnr, osnr_db
+from osnrgame.iterate import IterationConfig, run, step
+
+from helpers import osnr_scalar
 
 
 def make(gamma, n0, roles):
@@ -47,7 +46,7 @@ def measured_osnr_step(u, sysm, part):
     """Every channel's distributed update, one channel at a time."""
     out = np.empty_like(u)
     for i, role in enumerate(part.roles):
-        inv_osnr = 1.0 / osnr(u, sysm, i)
+        inv_osnr = 1.0 / osnr_scalar(u, sysm, i)
         if isinstance(role, PlayerParams):
             out[i] = player_update(u[i], inv_osnr, sysm.gamma[i, i], role.beta / role.alpha, role.a)
         else:
@@ -146,7 +145,7 @@ class TestUpdateFormulas:
             u = rng.uniform(0.01, 5.0, 3)
             a_eq = -(1.0 - g * gamma[0, 0]) / g
             lhs = step(u, stack)[0]
-            rhs = player_update(u[0], 1.0 / osnr(u, sysm, 0), gamma[0, 0], 0.0, a_eq)
+            rhs = player_update(u[0], 1.0 / osnr_scalar(u, sysm, 0), gamma[0, 0], 0.0, a_eq)
             # the Jacobi form adds and takes back u_0: 1e-12 as in the property test
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -202,11 +201,11 @@ class TestRun:
         sysm, part, stack = fixture_a
         u_star = solve_dsnp(stack, sysm, part).u
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-12)
-        trace = run(cfg, stack, sysm, reference=u_star)
+        trace = run(cfg, stack, reference=u_star)
         assert trace.converged_at is not None
         assert trace.final == pytest.approx(u_star, abs=1e-10)
         assert len(trace.iterates) == trace.converged_at + 1
-        assert len(trace.osnr_db_history) == len(trace.iterates)
+        assert np.array_equal(trace.iterates[-1], trace.final)
 
     def test_observed_contraction_bounded_by_rate(self, fixture_a):
         sysm, part, stack = fixture_a
@@ -215,7 +214,7 @@ class TestRun:
         # below tol ~1e-10 the error itself sits in rounding noise and the
         # measured ratios stop tracking the contraction factor
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-10)
-        trace = run(cfg, stack, sysm, reference=u_star)
+        trace = run(cfg, stack, reference=u_star)
         ratios = [r for r in trace.contraction_ratios if r is not None]
         assert ratios
         assert max(ratios) <= sigma + 1e-9
@@ -223,66 +222,65 @@ class TestRun:
     def test_start_at_solution(self, fixture_a):
         sysm, part, stack = fixture_a
         u_star = solve_dsnp(stack, sysm, part).u
-        trace = run(IterationConfig(u0=u_star, tol=1e-8), stack, sysm)
+        trace = run(IterationConfig(u0=u_star, tol=1e-8), stack)
         assert trace.converged_at == 1
 
     def test_no_trace_recording(self, fixture_a):
-        sysm, _, stack = fixture_a
+        _, _, stack = fixture_a
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-10, record_trace=False)
-        trace = run(cfg, stack, sysm)
+        trace = run(cfg, stack)
         assert trace.iterates == []
-        assert trace.osnr_db_history == []
         assert trace.final is not None
 
     def test_max_iter_exhausted(self, fixture_a):
-        sysm, _, stack = fixture_a
+        _, _, stack = fixture_a
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=3)
         with pytest.raises(ConvergenceError) as exc:
-            run(cfg, stack, sysm)
+            run(cfg, stack)
         assert exc.value.last is not None
         assert len(exc.value.trace.iterates) == 4
 
     def test_divergence(self):
         # both seeker gains exceed one: multiplicative blow-up
-        sysm, _, stack = make(
+        _, _, stack = make(
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [SeekerParams(600.0), SeekerParams(600.0)],
         )
         assert convergence_rate(stack) > 1.0
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-10, max_iter=10000)
         with pytest.raises(DivergenceError) as exc:
-            run(cfg, stack, sysm)
+            run(cfg, stack)
         assert exc.value.trace.iterates
 
     def test_non_finite_iterate_raises_at_once(self, fixture_a):
         # an infinite start power turns the first update into inf - inf = NaN
-        sysm, _, stack = fixture_a
+        _, _, stack = fixture_a
         cfg = IterationConfig(u0=np.array([np.inf, 0.5]), tol=1e-10, max_iter=10000)
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="step 1") as exc:
-                run(cfg, stack, sysm)
+                run(cfg, stack)
         assert len(exc.value.trace.iterates) == 2
         assert not np.all(np.isfinite(exc.value.trace.iterates[-1]))
 
     def test_strict_nonnegative_raises(self):
-        sysm, _, stack = make(
+        _, _, stack = make(
             np.zeros((1, 1)), [0.01], [PlayerParams(1.0, 0.1, 0.001)]
         )
         cfg = IterationConfig(
             u0=np.array([0.5]), tol=1e-10, strict_nonnegative=True
         )
         with pytest.raises(NegativePowerError) as exc:
-            run(cfg, stack, sysm)
+            run(cfg, stack)
         assert exc.value.step == 1
         assert exc.value.u[0] < 0
 
     def test_negative_step_recorded_and_warned(self):
-        sysm, _, stack = make(
+        _, _, stack = make(
             np.zeros((1, 1)), [0.01], [PlayerParams(1.0, 0.1, 0.001)]
         )
         cfg = IterationConfig(u0=np.array([0.5]), tol=1e-10)
         with pytest.warns(UserWarning) as caught:
-            trace = run(cfg, stack, sysm)
+            trace = run(cfg, stack)
         assert trace.negative_steps == [1, 2]
         # one warning per run: the count and the first step
         assert len(caught) == 1
@@ -291,14 +289,14 @@ class TestRun:
 
     def test_negative_warning_once_on_failed_run(self):
         # sigma = 3: the iterates swing in sign as they grow
-        sysm, _, stack = make(
+        _, _, stack = make(
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 0.1, 0.001), SeekerParams(600.0)],
         )
         cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=6)
         with pytest.warns(UserWarning) as caught:
             with pytest.raises(ConvergenceError) as exc:
-                run(cfg, stack, sysm)
+                run(cfg, stack)
         negative = [k for k in exc.value.trace.negative_steps if k > 0]
         assert len(negative) > 1
         assert len(caught) == 1
@@ -310,44 +308,13 @@ class TestRun:
         cfg = IterationConfig(u0=np.zeros(2), tol=1e-12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = run(cfg, stack, sysm, reference=u_star)
+            trace = run(cfg, stack, reference=u_star)
         assert trace.converged_at is not None
         assert trace.final == pytest.approx(u_star, abs=1e-10)
-        # the zero start has no OSNR in dB
-        assert np.all(np.isnan(trace.osnr_db_history[0]))
+        assert trace.iterates[0].tolist() == [0.0, 0.0]
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             IterationConfig(u0=np.array([0.5]), tol=0.0)
         with pytest.raises(ValidationError):
             IterationConfig(u0=np.array([0.5]), max_iter=0)
-
-
-def _osnr_db_per_channel(u, sysm):
-    out = np.empty(sysm.size)
-    for i in range(sysm.size):
-        try:
-            out[i] = osnr_db(u, sysm, i)
-        except EvaluationError:
-            out[i] = np.nan
-    return out
-
-
-class TestTraceOsnr:
-    """The trace's OSNR vector matches per-channel osnr_db, NaN included."""
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_matches_per_channel_osnr_db(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 9))
-        sysm = SystemMatrix(
-            gamma=rng.uniform(0.0, 1e-2, (n, n)) * (rng.random((n, n)) < 0.8),
-            n0=rng.uniform(1e-3, 1e-1, n),
-        )
-        # positive, zero and negative powers; large negative ones drive
-        # denominators below zero
-        u = rng.choice([0.0, 1.0, -1.0], n, p=[0.2, 0.6, 0.2]) * rng.uniform(0.01, 20.0, n)
-        got = trace_osnr_db(u, sysm)
-        want = _osnr_db_per_channel(u, sysm)
-        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osnrgame import (
+from osnrgame.link import (
     AseParams,
     ChannelSpec,
     GainProfile,
     Link,
     LinkNetwork,
     Span,
+    _ase_mw,
     build_system_matrix,
-    evaluate_gain,
-    span_ase,
+    db_to_linear,
 )
 from osnrgame.errors import EvaluationError, TopologyError, ValidationError
 
@@ -36,25 +36,37 @@ def channel(cid, wl=1555.0, noise=0.01, route=(1,)):
     return ChannelSpec(id=cid, wavelength_nm=wl, tx_noise_mW=noise, route=route)
 
 
-class TestEvaluateGain:
+def linear_gain(profile, wavelength_nm):
+    """The gain as build_system_matrix takes it: gain_db, then db_to_linear."""
+    return float(db_to_linear(profile.gain_db(wavelength_nm)))
+
+
+def span_ase(span, ch):
+    """One channel's ASE from the array form build_system_matrix calls."""
+    wl = np.array([ch.wavelength_nm])
+    gain = db_to_linear(span.gain_profile.gain_db(wl))
+    return float(_ase_mw(span, wl, gain, [ch.id])[0])
+
+
+class TestGainProfile:
     def test_parabolic_peak(self):
-        assert evaluate_gain(PARABOLIC, 1555.0) == pytest.approx(1000.0, rel=1e-12)
+        assert linear_gain(PARABOLIC, 1555.0) == pytest.approx(1000.0, rel=1e-12)
 
     def test_flat_any_wavelength(self):
         prof = GainProfile(shape="flat", peak_gain_dB=20.0)
-        assert evaluate_gain(prof, 1500.0) == 100.0
-        assert evaluate_gain(prof, 1600.0) == 100.0
+        assert linear_gain(prof, 1500.0) == 100.0
+        assert linear_gain(prof, 1600.0) == 100.0
 
     def test_parabolic_offset(self):
         # 30 - 0.05 * 25 = 28.75 dB
-        assert evaluate_gain(PARABOLIC, 1560.0) == pytest.approx(10 ** 2.875, rel=1e-12)
+        assert linear_gain(PARABOLIC, 1560.0) == pytest.approx(10 ** 2.875, rel=1e-12)
 
     def test_tabulated_interpolates(self):
         prof = GainProfile(
             shape="tabulated", peak_gain_dB=30.0,
             table=((1550.0, 20.0), (1560.0, 30.0)),
         )
-        assert evaluate_gain(prof, 1555.0) == pytest.approx(10 ** 2.5, rel=1e-12)
+        assert linear_gain(prof, 1555.0) == pytest.approx(10 ** 2.5, rel=1e-12)
 
     def test_tabulated_out_of_range(self):
         prof = GainProfile(
@@ -62,7 +74,7 @@ class TestEvaluateGain:
             table=((1550.0, 20.0), (1560.0, 30.0)),
         )
         with pytest.raises(EvaluationError):
-            evaluate_gain(prof, 1540.0)
+            prof.gain_db(1540.0)
 
     def test_invalid_profiles(self):
         with pytest.raises(ValidationError):
@@ -77,7 +89,7 @@ class TestEvaluateGain:
             GainProfile(shape="tabulated", peak_gain_dB=20.0, table=((1550.0, 25.0),))
 
 
-class TestSpanAse:
+class TestAseMw:
     def test_fixed_override(self):
         span = flat_span(ase_mw=0.002)
         assert span_ase(span, channel(1)) == 0.002

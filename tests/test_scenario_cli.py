@@ -1,5 +1,4 @@
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -10,19 +9,24 @@ import numpy as np
 import pytest
 
 import osnrgame
-from osnrgame import RunOptions, demo3_scenario, demo30_scenario, execute, load_scenario
+from osnrgame import execute, load_scenario
 from osnrgame.cli import main
 from osnrgame.direct import Solution
-from osnrgame.errors import InfeasibleError, ScenarioError
+from osnrgame.errors import EvaluationError, InfeasibleError, ScenarioError
+from osnrgame.link import db_to_linear
 from osnrgame.qp import QpResult
 from osnrgame.run import emit, report_to_dict
 from osnrgame.scenario import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    db_to_ratio,
+    RunOptions,
+    demo3_scenario,
+    demo30_scenario,
     scenario_from_dict,
     wavelength_grid,
 )
+
+from helpers import osnr_db_scalar, subprocess_env
 
 FIXTURE_A_DOC = {
     "matrix": {"gamma": [[0.001, 0.002], [0.002, 0.001]], "n0": [0.01, 0.01]},
@@ -41,13 +45,6 @@ SINGULAR_DOC = {
         {"role": "seeker", "target_osnr_db": 10.0 * np.log10(2000.0)},
     ],
 }
-
-
-def subprocess_env() -> dict:
-    """The environment of a fresh interpreter that imports this osnrgame."""
-    src = str(pathlib.Path(osnrgame.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -73,8 +70,8 @@ class TestScenarioParsing:
         assert sc.run.initial_powers(2) == pytest.approx([0.5, 0.5])
 
     def test_db_conversion(self):
-        assert db_to_ratio(20.0) == pytest.approx(100.0, rel=1e-15)
-        assert db_to_ratio(0.0) == 1.0
+        assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-15)
+        assert db_to_linear(0.0) == 1.0
 
     def test_wavelength_grid(self):
         assert wavelength_grid(3) == pytest.approx([1554.0, 1555.0, 1556.0])
@@ -169,7 +166,6 @@ class TestExecute:
         report = execute(scenario_from_dict(doc))
         assert report.trace.converged_at is not None
         assert report.trace.iterates == []
-        assert report.trace.osnr_db_history == []
         out = str(tmp_path / "trace.csv")
         emit(report, fmt="csv", out_path=out)
         assert open(out).read() == "step,channel,u_mW,osnr_dB,err_inf\n"
@@ -248,6 +244,36 @@ class TestEmit:
         out = str(tmp_path / "trace.csv")
         emit(report, fmt="csv", out_path=out)
         assert open(out).read() == "step,channel,u_mW,osnr_dB,err_inf\n"
+
+
+    @pytest.mark.parametrize(
+        "run_opts",
+        [{"solver": "iterative", "tol": 1e-10}, {"solver": "iterative", "u0": 0.0}, None],
+        ids=["fixture-a-iterative", "fixture-a-zero-start", "demo3"],
+    )
+    def test_csv_osnr_column_matches_oracle(self, run_opts, tmp_path):
+        if run_opts is None:
+            scenario = demo3_scenario()
+        else:
+            scenario = scenario_from_dict({**FIXTURE_A_DOC, "run": run_opts})
+        report = execute(scenario)
+        out = tmp_path / "trace.csv"
+        emit(report, fmt="csv", out_path=str(out))
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        sysm, n = scenario.system_matrix(), scenario.size
+        assert len(report.trace.iterates) > 2
+        assert len(rows) == n * len(report.trace.iterates)
+        for k, u in enumerate(report.trace.iterates):
+            for ch in range(n):
+                step, channel, u_mw, got = rows[k * n + ch][:4]
+                assert (int(step), int(channel)) == (k, ch + 1)
+                assert float(u_mw) == pytest.approx(u[ch], abs=1e-9)
+                try:
+                    want = osnr_db_scalar(u, sysm, ch)
+                except EvaluationError:
+                    assert got == "nan"  # the zero start has no OSNR in dB
+                else:
+                    assert float(got) == pytest.approx(want, abs=1e-9)
 
 
 class TestCli:
@@ -344,6 +370,21 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: run.u0 must be") and out.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "run_opts, message",
+        [
+            ({"max_iter": 2.5}, "error: run.max_iter must be an integer, got 2.5\n"),
+            ({"tol": True}, "error: run.tol must be a number, got True\n"),
+            ({"u0": True}, "error: run.u0 must be numbers, got True\n"),
+        ],
+        ids=["max-iter-fraction", "tol-bool", "u0-bool"],
+    )
+    def test_mistyped_run_option_is_an_input_error(self, run_opts, message, tmp_path, capsys):
+        path = write_doc(tmp_path, {**FIXTURE_A_DOC, "run": run_opts})
+        assert main(["solve", path]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == message
 
     def test_infinite_u0_in_scenario_is_an_input_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
@@ -453,10 +494,16 @@ class TestSchemaParity:
             lambda d: d.update(run={"strict_nonnegative": "no"}),
             lambda d: d.update(run={"u0": float("inf")}),
             lambda d: d.update(run={"u0": [0.5, float("-inf")]}),
+            lambda d: d.update(run={"max_iter": 2.5}),
+            lambda d: d.update(run={"max_iter": True}),
+            lambda d: d.update(run={"tol": True}),
+            lambda d: d.update(run={"u0": True}),
+            lambda d: d.update(run={"u0": [0.5, True]}),
         ],
         ids=["solver", "tol-zero", "tol-negative", "max-iter-zero", "player-without-a",
              "record-trace-str", "record-trace-int", "strict-nonneg-str",
-             "u0-infinity", "u0-array-minus-infinity"],
+             "u0-infinity", "u0-array-minus-infinity", "max-iter-fraction",
+             "max-iter-bool", "tol-bool", "u0-bool", "u0-array-bool"],
     )
     def test_malformed_rejected_by_both(self, mutate, schema_validator):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
@@ -464,3 +511,11 @@ class TestSchemaParity:
         assert not schema_validator.is_valid(doc)
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    def test_integral_float_max_iter_accepted_by_both(self, schema_validator):
+        # Draft 2020-12 counts 100.0 as an integer
+        doc = json.loads(json.dumps(FIXTURE_A_DOC))
+        doc["run"] = {"max_iter": 100.0}
+        schema_validator.validate(doc)
+        max_iter = scenario_from_dict(doc).run.max_iter
+        assert max_iter == 100 and type(max_iter) is int
