@@ -12,6 +12,7 @@ from osnrgame import (
     SystemMatrix,
     assemble,
     convergence_rate,
+    osnr,
     solve_dsnp,
 )
 from osnrgame.errors import (
@@ -22,8 +23,9 @@ from osnrgame.errors import (
     ValidationError,
 )
 from osnrgame.iterate import IterationConfig, run, step
+from osnrgame.model import to_db
 
-from helpers import osnr_scalar
+from helpers import osnr_db_scalar, osnr_scalar
 
 
 def make(gamma, n0, roles):
@@ -318,3 +320,30 @@ class TestRun:
             IterationConfig(u0=np.array([0.5]), tol=0.0)
         with pytest.raises(ValidationError):
             IterationConfig(u0=np.array([0.5]), max_iter=0)
+
+
+class TestTraceOsnr:
+    """The OSNR in dB that a CSV row derives from a recorded iterate,
+    to_db(osnr(u)), matches the per-channel scalar oracle, with NaN exactly
+    where the oracle raises: a non-positive denominator or ratio."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_channel_osnr_db(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        sysm = SystemMatrix(
+            gamma=rng.uniform(0.0, 1e-2, (n, n)) * (rng.random((n, n)) < 0.8),
+            n0=rng.uniform(1e-3, 1e-1, n),
+        )
+        # positive, zero and negative powers; large negative ones drive
+        # denominators below zero
+        u = rng.choice([0.0, 1.0, -1.0], n, p=[0.2, 0.6, 0.2]) * rng.uniform(0.01, 20.0, n)
+        got = to_db(osnr(u, sysm))
+        want = np.empty(n)
+        for i in range(n):
+            try:
+                want[i] = osnr_db_scalar(u, sysm, i)
+            except EvaluationError:
+                want[i] = np.nan
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

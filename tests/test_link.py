@@ -48,7 +48,9 @@ def span_ase(span, ch):
     return float(_ase_mw(span, wl, gain, [ch.id])[0])
 
 
-class TestGainProfile:
+class TestEvaluateGain:
+    """Gain as build_system_matrix evaluates it: db_to_linear of gain_db."""
+
     def test_parabolic_peak(self):
         assert linear_gain(PARABOLIC, 1555.0) == pytest.approx(1000.0, rel=1e-12)
 
@@ -89,7 +91,9 @@ class TestGainProfile:
             GainProfile(shape="tabulated", peak_gain_dB=20.0, table=((1550.0, 25.0),))
 
 
-class TestAseMw:
+class TestSpanAse:
+    """One span's ASE as build_system_matrix evaluates it, through _ase_mw."""
+
     def test_fixed_override(self):
         span = flat_span(ase_mw=0.002)
         assert span_ase(span, channel(1)) == 0.002
