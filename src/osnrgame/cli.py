@@ -74,12 +74,11 @@ def _cmd_iterate(args) -> int:
 
 def _cmd_check(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    sysmat = scenario.system_matrix()
-    system = assemble(sysmat, scenario.partition)
+    system = assemble(scenario.system_matrix(), scenario.partition)
     feas = direct_mod.check_feasibility(system)
     bounds = None
     if feas.nonsingular:
-        bounds = direct_mod.power_bounds(system, scenario.partition)
+        bounds = direct_mod.power_bounds(system)
     doc = {"feasibility": to_jsonable(feas), "bounds": to_jsonable(bounds)}
     write_json(doc, args.out)
     return 0

@@ -16,8 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EvaluationError
-from .link import SystemMatrix
-from .model import ChannelSystem, PlayerParams, ServicePartition, osnr, to_db
+from .model import ChannelSystem, PlayerParams, osnr, to_db
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,13 @@ def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
     )
 
 
-def verify(
-    u: np.ndarray, system: ChannelSystem, sys: SystemMatrix, partition: ServicePartition
-) -> Solution:
-    """Package a power vector with its OSNR values and verification residuals;
+def verify(u: np.ndarray, system: ChannelSystem) -> Solution:
+    """Package a power vector with its OSNR values and verification residuals
+    against the coupling matrix and roles the system was assembled from;
     raises EvaluationError at the first channel whose OSNR denominator is
     not positive."""
     u = np.asarray(u, dtype=float)
+    sys, roles = system.matrix, system.partition.roles
     coupled = sys.gamma @ u
     osnr_vals = osnr(u, sys, coupled)
     bad = np.flatnonzero(np.isnan(osnr_vals))
@@ -102,7 +101,7 @@ def verify(
         )
 
     p = system.is_player
-    targets = np.array([r.gamma for r in partition.roles if not isinstance(r, PlayerParams)])
+    targets = np.array([r.gamma for r in roles if not isinstance(r, PlayerParams)])
     seeker_res = np.abs(osnr_vals[~p] - targets) / targets
     # a player row of A u is (Gamma u)_i with Gamma_ii swapped for a_i
     rows = coupled + (np.diag(system.A) - np.diag(sys.gamma)) * u
@@ -125,9 +124,7 @@ def verify(
     )
 
 
-def solve_dsnp(
-    system: ChannelSystem, sys: SystemMatrix, partition: ServicePartition
-) -> Solution:
+def solve_dsnp(system: ChannelSystem) -> Solution:
     """Solve the system directly and verify the solution. All-seeker and
     all-player partitions give the central-cost and Nash-equilibrium special
     cases.
@@ -138,10 +135,10 @@ def solve_dsnp(
     factors = system.lu()
     u = scipy.linalg.lu_solve(factors, system.b)
     u = u + scipy.linalg.lu_solve(factors, system.b - system.A @ u)
-    return verify(u, system, sys, partition)
+    return verify(u, system)
 
 
-def power_bounds(system: ChannelSystem, partition: ServicePartition) -> BoundsReport:
+def power_bounds(system: ChannelSystem) -> BoundsReport:
     """Bracket the max allocated power via the inf-norm condition number.
 
     T_i (player absolute row sums) must exceed S_k = 2 (1 - gamma_k Gamma_kk)
@@ -166,7 +163,7 @@ def power_bounds(system: ChannelSystem, partition: ServicePartition) -> BoundsRe
     upper = None
     if players:
         upper = kappa * max(
-            r.beta / r.alpha for r in partition.roles if isinstance(r, PlayerParams)
+            r.beta / r.alpha for r in system.partition.roles if isinstance(r, PlayerParams)
         )
 
     return BoundsReport(

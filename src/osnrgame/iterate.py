@@ -14,26 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, EvaluationError, NegativePowerError, ValidationError
+from .errors import ConvergenceError, DivergenceError, EvaluationError, NegativePowerError
 from .model import ChannelSystem
+from .scenario import RunOptions
 
 DIVERGENCE_LIMIT_MW = 1e12
-
-
-@dataclass(frozen=True)
-class IterationConfig:
-    u0: np.ndarray
-    tol: float = 1e-8
-    max_iter: int = 10000
-    record_trace: bool = True
-    strict_nonnegative: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
-        if self.tol <= 0:
-            raise ValidationError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be >= 1")
 
 
 @dataclass
@@ -76,11 +61,12 @@ def convergence_rate(system: ChannelSystem) -> float:
 
 
 def run(
-    config: IterationConfig,
     system: ChannelSystem,
+    options: RunOptions,
     reference: np.ndarray | None = None,
 ) -> IterationTrace:
-    """Iterate until the successive difference drops under tol.
+    """Iterate from options.initial_powers until the successive difference
+    drops under options.tol; a start of the wrong length raises ScenarioError.
 
     An iterate that is not finite, or whose largest power passes
     DIVERGENCE_LIMIT_MW, raises DivergenceError with the trace so far.
@@ -100,10 +86,10 @@ def run(
         ref_scale = 1.0 + float(np.max(np.abs(reference)))
         eps_floor = max(eps_floor, 100.0 * np.sqrt(eps) * ref_scale)
     trace = IterationTrace()
-    u = np.asarray(config.u0, dtype=float).copy()
+    u = options.initial_powers(system.size)
 
     def record(vec: np.ndarray, step_idx: int):
-        if config.record_trace:
+        if options.record_trace:
             trace.iterates.append(vec.copy())
         if reference is not None:
             err = float(np.max(np.abs(vec - reference)))
@@ -115,19 +101,19 @@ def run(
             trace.error_history.append(err)
         if np.any(vec < 0):
             trace.negative_steps.append(step_idx)
-            if config.strict_nonnegative:
+            if options.strict_nonnegative:
                 raise NegativePowerError(
                     f"negative power at step {step_idx}", step=step_idx, u=vec
                 )
 
     record(u, 0)
     try:
-        for k in range(1, config.max_iter + 1):
+        for k in range(1, options.max_iter + 1):
             u_next = step(u, system)
             record(u_next, k)
             if not np.all(np.isfinite(u_next)):
                 raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
-            if float(np.max(np.abs(u_next - u))) <= config.tol:
+            if float(np.max(np.abs(u_next - u))) <= options.tol:
                 trace.converged_at = k
                 trace.final = u_next.copy()
                 return trace
@@ -135,13 +121,13 @@ def run(
                 raise DivergenceError(f"iteration diverged at step {k}", trace=trace)
             u = u_next
         raise ConvergenceError(
-            f"no convergence to tol={config.tol} within {config.max_iter} steps",
+            f"no convergence to tol={options.tol} within {options.max_iter} steps",
             last=u,
             trace=trace,
         )
     finally:
         negative = [k for k in trace.negative_steps if k > 0]
-        if negative and not config.strict_nonnegative:
+        if negative and not options.strict_nonnegative:
             warnings.warn(
                 f"{len(negative)} iterates had negative power components, "
                 f"the first at step {negative[0]}",

@@ -64,22 +64,6 @@ class ServicePartition:
     def size(self) -> int:
         return len(self.roles)
 
-    @property
-    def players(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if isinstance(r, PlayerParams)]
-
-    @property
-    def seekers(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if isinstance(r, SeekerParams)]
-
-    @property
-    def m(self) -> int:
-        return len(self.players)
-
-    @property
-    def n(self) -> int:
-        return len(self.seekers)
-
 
 @dataclass(frozen=True)
 class ChannelSystem:
@@ -90,13 +74,16 @@ class ChannelSystem:
     Gamma_ij off it, b_i = a_i beta_i / alpha_i - n0_i. A seeker's row is its
     target equation: 1 - gamma_i Gamma_ii on the diagonal, -gamma_i Gamma_ij
     off it, b_i = gamma_i n0_i. The player and seeker blocks are the row
-    selections A[is_player] and A[~is_player]. A is factored at most once;
-    the factors are cached on the system.
+    selections A[is_player] and A[~is_player]. matrix and partition are the
+    inputs the system was assembled from. A is factored at most once; the
+    factors are cached on the system.
     """
 
     A: np.ndarray
     b: np.ndarray
     is_player: np.ndarray
+    matrix: SystemMatrix
+    partition: ServicePartition
 
     @property
     def size(self) -> int:
@@ -178,4 +165,4 @@ def assemble(sys: SystemMatrix, partition: ServicePartition) -> ChannelSystem:
     is_player = np.array([isinstance(r, PlayerParams) for r in partition.roles])
     for arr in (a_mat, b, is_player):
         arr.flags.writeable = False  # the cached factorization must stay valid
-    return ChannelSystem(A=a_mat, b=b, is_player=is_player)
+    return ChannelSystem(A=a_mat, b=b, is_player=is_player, matrix=sys, partition=partition)

@@ -23,7 +23,7 @@ from . import iterate as iterate_mod
 from . import qp as qp_mod
 from .direct import BoundsReport, FeasibilityReport, Solution
 from .errors import ConvergenceError, DivergenceError, OutputError
-from .iterate import IterationConfig, IterationTrace
+from .iterate import IterationTrace
 from .link import SystemMatrix
 from .model import assemble, osnr, to_db
 from .qp import QpResult
@@ -63,9 +63,8 @@ def execute(scenario: Scenario) -> RunReport:
     sysmat = scenario.system_matrix()
     timing["build"] = time.perf_counter() - t0
 
-    partition = scenario.partition
     t0 = time.perf_counter()
-    system = assemble(sysmat, partition)
+    system = assemble(sysmat, scenario.partition)
     feas = direct_mod.check_feasibility(system)
     timing["feasibility"] = time.perf_counter() - t0
 
@@ -76,38 +75,29 @@ def execute(scenario: Scenario) -> RunReport:
     sigma = None
     path = opts.solver
 
-    def iteration_config() -> IterationConfig:
-        return IterationConfig(
-            u0=opts.initial_powers(system.size),
-            tol=opts.tol,
-            max_iter=opts.max_iter,
-            record_trace=opts.record_trace,
-            strict_nonnegative=opts.strict_nonnegative,
-        )
-
     t0 = time.perf_counter()
     if opts.solver == "qp" or (opts.solver in ("auto", "direct") and not feas.nonsingular):
         path = "qp"
         solution = qp_mod.solve_qp(system)
     elif opts.solver == "direct":
-        solution = direct_mod.solve_dsnp(system, sysmat, partition)
-        bounds = direct_mod.power_bounds(system, partition)
+        solution = direct_mod.solve_dsnp(system)
+        bounds = direct_mod.power_bounds(system)
     elif opts.solver == "iterative":
         path = "iterative"
         reference = None
         if feas.nonsingular:
-            reference = direct_mod.solve_dsnp(system, sysmat, partition).u
+            reference = direct_mod.solve_dsnp(system).u
         sigma = iterate_mod.convergence_rate(system)
-        trace = iterate_mod.run(iteration_config(), system, reference=reference)
-        solution = direct_mod.verify(trace.final, system, sysmat, partition)
+        trace = iterate_mod.run(system, opts, reference=reference)
+        solution = direct_mod.verify(trace.final, system)
     else:  # auto
         path = "direct"
-        solution = direct_mod.solve_dsnp(system, sysmat, partition)
-        bounds = direct_mod.power_bounds(system, partition)
+        solution = direct_mod.solve_dsnp(system)
+        bounds = direct_mod.power_bounds(system)
         sigma = iterate_mod.convergence_rate(system)
         if sigma < 1.0:
             try:
-                trace = iterate_mod.run(iteration_config(), system, reference=solution.u)
+                trace = iterate_mod.run(system, opts, reference=solution.u)
             except (ConvergenceError, DivergenceError) as exc:
                 # the cross-check failed; the verified direct answer stands,
                 # and the partial trace (converged_at null) shows how far it got

@@ -112,6 +112,10 @@ class Scenario:
             raise ScenarioError(
                 f"partition covers {self.partition.size} channels, scenario has {n}"
             )
+        for name in ("min_mW", "max_mW"):
+            value = getattr(self, f"power_{name}")
+            if isinstance(value, bool) or not isinstance(value, (numbers.Real, type(None))):
+                raise ScenarioError(f"power_limits.{name} must be a number, got {value!r}")
 
     def system_matrix(self) -> SystemMatrix:
         if self.matrix is not None:

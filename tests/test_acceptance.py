@@ -23,7 +23,7 @@ from osnrgame import (
     solve_dsnp,
 )
 from osnrgame.errors import InfeasibleError
-from osnrgame.iterate import IterationConfig, run as iterate_run
+from osnrgame.iterate import run as iterate_run
 from osnrgame.link import (
     AseParams,
     ChannelSpec,
@@ -34,7 +34,7 @@ from osnrgame.link import (
     build_system_matrix,
 )
 from osnrgame.qp import build_qp, recover_primal, solve_dual
-from osnrgame.scenario import demo3_scenario, demo30_scenario
+from osnrgame.scenario import RunOptions, demo3_scenario, demo30_scenario
 
 from helpers import (
     farkas_certificate_checks,
@@ -61,7 +61,7 @@ def _instances(n=200, bounds_regime=False):
     out = []
     while len(out) < n:
         inst = random_dominant_instance(rng, n_max=30, bounds_regime=bounds_regime)
-        if bounds_regime and not power_bounds(inst[2], inst[1]).preconditions_hold:
+        if bounds_regime and not power_bounds(inst[2]).preconditions_hold:
             continue
         out.append(inst)
     return out
@@ -71,7 +71,7 @@ def test_criterion_1_seeker_exactness(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for sysm, part, stack in _instances():
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         if len(sol.seeker_residuals):
             worst = max(worst, float(np.max(sol.seeker_residuals)))
     elapsed = time.perf_counter() - t0
@@ -90,7 +90,7 @@ def test_criterion_2_player_stationarity(capsys):
     # scalar oracle) by moving its power 1e-4 relative either way
     moves_that_pay = 0
     for sysm, part, stack in _instances():
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         scale = float(np.linalg.norm(stack.b[stack.is_player], np.inf)) if stack.m else 1.0
         if len(sol.player_foc_residuals):
             worst = max(worst, float(np.max(sol.player_foc_residuals)) / scale)
@@ -113,12 +113,12 @@ def test_criterion_3_direct_iterative_agreement(capsys):
     worst_gap = 0.0
     worst_time = 0.0
     for sysm, part, stack in _instances():
-        sol = solve_dsnp(stack, sysm, part)
-        cfg = IterationConfig(
+        sol = solve_dsnp(stack)
+        cfg = RunOptions(
             u0=np.full(stack.size, 0.5), tol=1e-10, record_trace=False
         )
         t0 = time.perf_counter()
-        trace = iterate_run(cfg, stack, reference=sol.u)
+        trace = iterate_run(stack, cfg, reference=sol.u)
         worst_time = max(worst_time, time.perf_counter() - t0)
         worst_gap = max(worst_gap, float(np.max(np.abs(trace.final - sol.u))))
     ok = worst_gap <= 1e-8 and worst_time < 0.1
@@ -134,13 +134,13 @@ def test_criterion_4_contraction_certificate(capsys):
     worst_excess = -np.inf
     all_sigma_lt_1 = True
     for sysm, part, stack in _instances():
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         sigma = convergence_rate(stack)
         all_sigma_lt_1 = all_sigma_lt_1 and sigma < 1.0
-        cfg = IterationConfig(
+        cfg = RunOptions(
             u0=np.full(stack.size, 0.5), tol=1e-10, record_trace=False
         )
-        trace = iterate_run(cfg, stack, reference=sol.u)
+        trace = iterate_run(stack, cfg, reference=sol.u)
         ratios = [r for r in trace.contraction_ratios if r is not None]
         if ratios:
             worst_excess = max(worst_excess, max(ratios) - sigma)
@@ -156,8 +156,8 @@ def test_criterion_4_contraction_certificate(capsys):
 def test_criterion_5_power_bound_soundness(capsys):
     violations = 0
     for sysm, part, stack in _instances(bounds_regime=True):
-        rep = power_bounds(stack, part)
-        sol = solve_dsnp(stack, sysm, part)
+        rep = power_bounds(stack)
+        sol = solve_dsnp(stack)
         m = float(np.max(np.abs(sol.u)))
         if not (rep.lower_inf <= m + 1e-12 and m <= rep.upper_inf + 1e-12):
             violations += 1
@@ -169,7 +169,7 @@ def test_criterion_5_power_bound_soundness(capsys):
         roles=(PlayerParams(alpha=1.0, beta=1.0, a=2.5), SeekerParams(gamma=100.0))
     )
     stack = assemble(sysm, part)
-    rep = power_bounds(stack, part)
+    rep = power_bounds(stack)
     bar = np.array([[2.5, 0.002], [-0.2, 0.9]])
     inv = np.linalg.inv(bar)
     kappa_oracle = float(
@@ -180,7 +180,7 @@ def test_criterion_5_power_bound_soundness(capsys):
         rep.preconditions_hold
         and rep.lower_inf == pytest.approx(0.2, abs=1e-12)
         and rep.upper_inf == pytest.approx(kappa_oracle, abs=1e-4)
-        and float(np.max(np.abs(solve_dsnp(stack, sysm, part).u)))
+        and float(np.max(np.abs(solve_dsnp(stack).u)))
         == pytest.approx(float(np.max(np.abs(u_oracle))), abs=1e-4)
         and float(np.max(np.abs(u_oracle))) == pytest.approx(1.3322, abs=1e-4)
     )
@@ -247,12 +247,12 @@ def test_criterion_6_qp_oracle_equivalence(capsys, fixture_b):
 def test_criterion_7_special_case_reductions(capsys):
     sysm = SystemMatrix(gamma=np.array([[0.001]]), n0=np.array([0.01]))
     part = ServicePartition(roles=(SeekerParams(gamma=100.0),))
-    ccp = solve_dsnp(assemble(sysm, part), sysm, part)  # all seekers
+    ccp = solve_dsnp(assemble(sysm, part))  # all seekers
     ccp_ok = ccp.u[0] == pytest.approx(1.0 / 0.9, abs=1e-10)
 
     sysm = SystemMatrix(gamma=np.array([[0.5]]), n0=np.array([0.01]))
     part = ServicePartition(roles=(PlayerParams(alpha=1.0, beta=1.01, a=1.0),))
-    ne = solve_dsnp(assemble(sysm, part), sysm, part)  # all players
+    ne = solve_dsnp(assemble(sysm, part))  # all players
     ne_ok = ne.u[0] == pytest.approx(1.0, abs=1e-12)
 
     ok = ccp_ok and ne_ok

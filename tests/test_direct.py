@@ -91,7 +91,7 @@ class TestCheckFeasibility:
 class TestSolveDsnp:
     def test_fixture_a(self, fixture_a):
         sysm, part, stack = fixture_a
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         assert sol.u == pytest.approx([35.0 / 47.0, 60.0 / 47.0], rel=1e-12)
         assert sol.osnr == pytest.approx([56.0, 100.0], rel=1e-12)
         assert sol.osnr_db[1] == pytest.approx(20.0, abs=1e-12)
@@ -103,7 +103,7 @@ class TestSolveDsnp:
         rng = np.random.default_rng(101)
         for _ in range(10):
             sysm, part, stack = random_dominant_instance(rng, n_max=20)
-            sol = solve_dsnp(stack, sysm, part)
+            sol = solve_dsnp(stack)
             scale = np.linalg.norm(stack.b, np.inf)
             assert np.max(np.abs(stack.A @ sol.u - stack.b)) < 1e-12 * scale
             if len(sol.seeker_residuals):
@@ -114,7 +114,7 @@ class TestSolveDsnp:
             np.zeros((2, 2)), [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), SeekerParams(100.0)],
         )
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         # player: u = beta/alpha - n0/a, seeker: u = gamma * n0
         assert sol.u == pytest.approx([2.0 - 1.0, 1.0], rel=1e-14)
 
@@ -125,7 +125,7 @@ class TestSolveDsnp:
             [PlayerParams(1.0, 0.5, 0.01)],
         )
         with pytest.warns(UserWarning):
-            sol = solve_dsnp(stack, sysm, part)
+            sol = solve_dsnp(stack)
         assert sol.u[0] == pytest.approx(-0.5, rel=1e-14)
         assert not sol.nonnegative
 
@@ -135,12 +135,12 @@ class TestSolveDsnp:
             [PlayerParams(1.0, 2.0, 0.01), PlayerParams(1.0, 2.0, 0.01)],
         )
         with pytest.raises(SingularMatrixError) as exc:
-            solve_dsnp(stack, sysm, part)
+            solve_dsnp(stack)
         assert exc.value.smallest_pivot < 1e-12
 
     def test_verify_standalone(self, fixture_a):
         sysm, part, stack = fixture_a
-        sol = verify(np.array([35.0 / 47.0, 60.0 / 47.0]), stack, sysm, part)
+        sol = verify(np.array([35.0 / 47.0, 60.0 / 47.0]), stack)
         assert sol.seeker_residuals[0] < 1e-12
         assert sol.player_foc_residuals[0] < 1e-15
 
@@ -148,7 +148,7 @@ class TestSolveDsnp:
         # a negative power has a positive denominator but no OSNR in dB
         sysm, part, stack = fixture_a
         with pytest.warns(UserWarning, match="negative power"):
-            sol = verify(np.array([-0.5, 1.0]), stack, sysm, part)
+            sol = verify(np.array([-0.5, 1.0]), stack)
         assert sol.osnr[0] < 0 and np.isnan(sol.osnr_db[0])
         assert sol.osnr_db[1] == pytest.approx(10 * np.log10(sol.osnr[1]), abs=1e-12)
 
@@ -158,7 +158,7 @@ class TestSolveDsnp:
         rng = np.random.default_rng(seed)
         sysm, part, stack = random_dominant_instance(rng, n_max=20)
         u = rng.uniform(0.01, 5.0, stack.size)
-        sol = verify(u, stack, sysm, part)
+        sol = verify(u, stack)
         p = stack.is_player
         want_foc = np.abs(stack.A[p] @ u - stack.b[p])
         scale = np.abs(stack.A[p]) @ u + np.abs(stack.b[p])
@@ -173,13 +173,13 @@ class TestSolveDsnp:
 class TestSpecialCases:
     def test_scalar_target_only(self):
         sysm, part, stack = make([[0.001]], [0.01], [SeekerParams(100.0)])
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         assert sol.u[0] == pytest.approx(1.0 / 0.9, rel=1e-10)
         assert sol.osnr[0] == pytest.approx(100.0, rel=1e-10)
 
     def test_scalar_equilibrium(self):
         sysm, part, stack = make([[0.5]], [0.01], [PlayerParams(1.0, 1.01, 1.0)])
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         assert sol.u[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetric_equilibrium(self):
@@ -187,14 +187,14 @@ class TestSpecialCases:
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), PlayerParams(1.0, 2.0, 0.01)],
         )
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         assert sol.u == pytest.approx([5.0 / 6.0, 5.0 / 6.0], rel=1e-12)
 
 
 class TestPowerBounds:
     def test_fixture_a_prime_exact(self, fixture_a_prime):
         sysm, part, stack = fixture_a_prime
-        rep = power_bounds(stack, part)
+        rep = power_bounds(stack)
         assert rep.preconditions_hold
 
         # independent 2x2 oracle for the inf-norm condition number
@@ -209,7 +209,7 @@ class TestPowerBounds:
         assert rep.upper_inf == pytest.approx(kappa * 1.0, rel=1e-12)
         assert rep.euclid_upper == pytest.approx(np.sqrt(2.0) * rep.upper_inf, rel=1e-12)
 
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         assert sol.u == pytest.approx([0.99493, 1.33221], abs=1e-5)
         m = np.max(np.abs(sol.u))
         assert rep.lower_inf <= m <= rep.upper_inf
@@ -217,7 +217,7 @@ class TestPowerBounds:
     def test_fixture_a_preconditions_fail(self, fixture_a):
         # the small pricing parameter keeps T below the seeker bound
         sysm, part, stack = fixture_a
-        rep = power_bounds(stack, part)
+        rep = power_bounds(stack)
         assert not rep.preconditions_hold
 
     def test_all_players_no_seeker_bound(self):
@@ -225,13 +225,13 @@ class TestPowerBounds:
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 2.0, 0.01), PlayerParams(1.0, 2.0, 0.01)],
         )
-        rep = power_bounds(stack, part)
+        rep = power_bounds(stack)
         assert rep.lower_inf == 0.0
         assert rep.upper_inf is not None
 
     def test_all_seekers_no_upper(self):
         sysm, part, stack = make([[0.001]], [0.01], [SeekerParams(100.0)])
-        rep = power_bounds(stack, part)
+        rep = power_bounds(stack)
         assert rep.upper_inf is None
         assert rep.euclid_upper is None
 
@@ -240,10 +240,10 @@ class TestPowerBounds:
     def test_bracket_holds_under_preconditions(self, seed):
         rng = np.random.default_rng(seed)
         sysm, part, stack = random_dominant_instance(rng, n_max=10, bounds_regime=True)
-        rep = power_bounds(stack, part)
+        rep = power_bounds(stack)
         if not rep.preconditions_hold:
             return
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         m = float(np.max(np.abs(sol.u)))
         assert rep.lower_inf <= m + 1e-12
         assert m <= rep.upper_inf + 1e-12
@@ -269,8 +269,8 @@ class TestSharedFactorization:
     def test_factored_once(self, fixture_a, lu_calls):
         sysm, part, stack = fixture_a
         assert check_feasibility(stack).nonsingular
-        solve_dsnp(stack, sysm, part)
-        power_bounds(stack, part)
+        solve_dsnp(stack)
+        power_bounds(stack)
         assert len(lu_calls) == 1
 
     def test_singular_outcome_cached(self, lu_calls):
@@ -279,15 +279,19 @@ class TestSharedFactorization:
             [PlayerParams(1.0, 2.0, 0.01), PlayerParams(1.0, 2.0, 0.01)],
         )
         assert not check_feasibility(stack).nonsingular
-        for solver in (lambda: solve_dsnp(stack, sysm, part), lambda: power_bounds(stack, part)):
+        for solver in (lambda: solve_dsnp(stack), lambda: power_bounds(stack)):
             with pytest.raises(SingularMatrixError):
                 solver()
         assert len(lu_calls) == 1
 
     def test_system_holds_three_arrays(self, fixture_a):
-        _, part, stack = fixture_a
-        power_bounds(stack, part)
-        assert [f.name for f in dataclasses.fields(ChannelSystem)] == ["A", "b", "is_player"]
+        # the three arrays of A u = b, and the two inputs they were built from
+        sysm, part, stack = fixture_a
+        power_bounds(stack)
+        assert [f.name for f in dataclasses.fields(ChannelSystem)] == [
+            "A", "b", "is_player", "matrix", "partition"
+        ]
+        assert stack.matrix is sysm and stack.partition is part
         assert not stack.A.flags.writeable  # the cached factors stay valid
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -295,5 +299,5 @@ class TestSharedFactorization:
     def test_kappa_is_exact(self, seed):
         rng = np.random.default_rng(seed)
         sysm, part, stack = random_dominant_instance(rng, n_max=30)
-        rep = power_bounds(stack, part)
+        rep = power_bounds(stack)
         assert rep.kappa_inf == pytest.approx(np.linalg.cond(stack.A, np.inf), rel=1e-12)

@@ -20,10 +20,12 @@ from osnrgame.errors import (
     DivergenceError,
     EvaluationError,
     NegativePowerError,
+    ScenarioError,
     ValidationError,
 )
-from osnrgame.iterate import IterationConfig, run, step
+from osnrgame.iterate import run, step
 from osnrgame.model import to_db
+from osnrgame.scenario import RunOptions
 
 from helpers import osnr_db_scalar, osnr_scalar
 
@@ -65,7 +67,7 @@ class TestStep:
 
     def test_fixed_point(self, fixture_a):
         sysm, part, stack = fixture_a
-        u_star = solve_dsnp(stack, sysm, part).u
+        u_star = solve_dsnp(stack).u
         assert step(u_star, stack) == pytest.approx(u_star, rel=1e-12)
 
     def test_decoupled_lands_in_one_move(self):
@@ -201,9 +203,9 @@ class TestConvergenceRate:
 class TestRun:
     def test_converges_to_direct_solution(self, fixture_a):
         sysm, part, stack = fixture_a
-        u_star = solve_dsnp(stack, sysm, part).u
-        cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-12)
-        trace = run(cfg, stack, reference=u_star)
+        u_star = solve_dsnp(stack).u
+        cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-12)
+        trace = run(stack, cfg, reference=u_star)
         assert trace.converged_at is not None
         assert trace.final == pytest.approx(u_star, abs=1e-10)
         assert len(trace.iterates) == trace.converged_at + 1
@@ -211,34 +213,34 @@ class TestRun:
 
     def test_observed_contraction_bounded_by_rate(self, fixture_a):
         sysm, part, stack = fixture_a
-        u_star = solve_dsnp(stack, sysm, part).u
+        u_star = solve_dsnp(stack).u
         sigma = convergence_rate(stack)
         # below tol ~1e-10 the error itself sits in rounding noise and the
         # measured ratios stop tracking the contraction factor
-        cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-10)
-        trace = run(cfg, stack, reference=u_star)
+        cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-10)
+        trace = run(stack, cfg, reference=u_star)
         ratios = [r for r in trace.contraction_ratios if r is not None]
         assert ratios
         assert max(ratios) <= sigma + 1e-9
 
     def test_start_at_solution(self, fixture_a):
         sysm, part, stack = fixture_a
-        u_star = solve_dsnp(stack, sysm, part).u
-        trace = run(IterationConfig(u0=u_star, tol=1e-8), stack)
+        u_star = solve_dsnp(stack).u
+        trace = run(stack, RunOptions(u0=u_star, tol=1e-8))
         assert trace.converged_at == 1
 
     def test_no_trace_recording(self, fixture_a):
         _, _, stack = fixture_a
-        cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-10, record_trace=False)
-        trace = run(cfg, stack)
+        cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-10, record_trace=False)
+        trace = run(stack, cfg)
         assert trace.iterates == []
         assert trace.final is not None
 
     def test_max_iter_exhausted(self, fixture_a):
         _, _, stack = fixture_a
-        cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=3)
+        cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=3)
         with pytest.raises(ConvergenceError) as exc:
-            run(cfg, stack)
+            run(stack, cfg)
         assert exc.value.last is not None
         assert len(exc.value.trace.iterates) == 4
 
@@ -249,18 +251,19 @@ class TestRun:
             [SeekerParams(600.0), SeekerParams(600.0)],
         )
         assert convergence_rate(stack) > 1.0
-        cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-10, max_iter=10000)
+        cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-10, max_iter=10000)
         with pytest.raises(DivergenceError) as exc:
-            run(cfg, stack)
+            run(stack, cfg)
         assert exc.value.trace.iterates
 
     def test_non_finite_iterate_raises_at_once(self, fixture_a):
-        # an infinite start power turns the first update into inf - inf = NaN
+        # a finite start near the float maximum overflows the first update
+        # to -inf, which the end-of-run warning counts as negative
         _, _, stack = fixture_a
-        cfg = IterationConfig(u0=np.array([np.inf, 0.5]), tol=1e-10, max_iter=10000)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="step 1") as exc:
-                run(cfg, stack)
+        cfg = RunOptions(u0=np.array([1.7e308, 1.7e308]), tol=1e-10, max_iter=10000)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.warns(UserWarning):
+            with pytest.raises(DivergenceError, match="non-finite iterate at step 1") as exc:
+                run(stack, cfg)
         assert len(exc.value.trace.iterates) == 2
         assert not np.all(np.isfinite(exc.value.trace.iterates[-1]))
 
@@ -268,11 +271,11 @@ class TestRun:
         _, _, stack = make(
             np.zeros((1, 1)), [0.01], [PlayerParams(1.0, 0.1, 0.001)]
         )
-        cfg = IterationConfig(
+        cfg = RunOptions(
             u0=np.array([0.5]), tol=1e-10, strict_nonnegative=True
         )
         with pytest.raises(NegativePowerError) as exc:
-            run(cfg, stack)
+            run(stack, cfg)
         assert exc.value.step == 1
         assert exc.value.u[0] < 0
 
@@ -280,9 +283,9 @@ class TestRun:
         _, _, stack = make(
             np.zeros((1, 1)), [0.01], [PlayerParams(1.0, 0.1, 0.001)]
         )
-        cfg = IterationConfig(u0=np.array([0.5]), tol=1e-10)
+        cfg = RunOptions(u0=np.array([0.5]), tol=1e-10)
         with pytest.warns(UserWarning) as caught:
-            trace = run(cfg, stack)
+            trace = run(stack, cfg)
         assert trace.negative_steps == [1, 2]
         # one warning per run: the count and the first step
         assert len(caught) == 1
@@ -295,10 +298,10 @@ class TestRun:
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 0.1, 0.001), SeekerParams(600.0)],
         )
-        cfg = IterationConfig(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=6)
+        cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=6)
         with pytest.warns(UserWarning) as caught:
             with pytest.raises(ConvergenceError) as exc:
-                run(cfg, stack)
+                run(stack, cfg)
         negative = [k for k in exc.value.trace.negative_steps if k > 0]
         assert len(negative) > 1
         assert len(caught) == 1
@@ -306,20 +309,31 @@ class TestRun:
 
     def test_zero_start_converges_silently(self, fixture_a):
         sysm, part, stack = fixture_a
-        u_star = solve_dsnp(stack, sysm, part).u
-        cfg = IterationConfig(u0=np.zeros(2), tol=1e-12)
+        u_star = solve_dsnp(stack).u
+        cfg = RunOptions(u0=np.zeros(2), tol=1e-12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = run(cfg, stack, reference=u_star)
+            trace = run(stack, cfg, reference=u_star)
         assert trace.converged_at is not None
         assert trace.final == pytest.approx(u_star, abs=1e-10)
         assert trace.iterates[0].tolist() == [0.0, 0.0]
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            IterationConfig(u0=np.array([0.5]), tol=0.0)
-        with pytest.raises(ValidationError):
-            IterationConfig(u0=np.array([0.5]), max_iter=0)
+        with pytest.raises(ScenarioError):
+            RunOptions(u0=np.array([0.5]), tol=0.0)
+        with pytest.raises(ScenarioError):
+            RunOptions(u0=np.array([0.5]), max_iter=0)
+
+    def test_nan_tol_rejected(self, fixture_a):
+        # rejected before the run, not after max_iter steps
+        _, _, stack = fixture_a
+        with pytest.raises(ScenarioError, match="run.tol"):
+            run(stack, RunOptions(tol=float("nan"), max_iter=50))
+
+    def test_start_of_wrong_length_rejected(self, fixture_a):
+        _, _, stack = fixture_a
+        with pytest.raises(ScenarioError, match="3 entries for 2 channels"):
+            run(stack, RunOptions(u0=np.array([0.5, 0.5, 0.5])))
 
 
 class TestTraceOsnr:

@@ -34,7 +34,7 @@ class TestOsnr:
 
     def test_seeker_exact_at_solution(self, fixture_a):
         sysm, part, stack = fixture_a
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         assert osnr(sol.u, sysm)[1] == pytest.approx(100.0, rel=1e-12)
 
     def test_self_term_in_denominator(self, fixture_a):
@@ -79,7 +79,7 @@ class TestOsnr:
             got = osnr(u, sysm)
         assert np.isnan(got[1:]).all()
         with pytest.raises(EvaluationError, match="channel 1: non-positive") as exc:
-            verify(u, assemble(sysm, part), sysm, part)
+            verify(u, assemble(sysm, part))
         assert exc.value.channel == 1
 
 
@@ -118,7 +118,7 @@ class TestPlayerCost:
 
     def test_at_fixture_a_solution(self, fixture_a):
         sysm, part, stack = fixture_a
-        sol = solve_dsnp(stack, sysm, part)
+        sol = solve_dsnp(stack)
         x = 0.01 + 0.002 * sol.u[1]
         expected = sol.u[0] - 2.0 * math.log(1.0 + 0.01 * sol.u[0] / x)
         got = player_cost(0, sol.u, sysm, part.roles[0])
@@ -264,6 +264,6 @@ class TestParamInvariants:
             SeekerParams(gamma=0.0)
 
     def test_partition_counts(self, fixture_a):
-        _, part, _ = fixture_a
-        assert part.m == 1 and part.n == 1
-        assert part.players == [0] and part.seekers == [1]
+        _, _, system = fixture_a  # assemble(sysm, part)
+        assert system.m == 1 and system.n == 1
+        assert system.is_player.tolist() == [True, False]

@@ -263,7 +263,7 @@ class TestSolveQpOnStack:
         rng = np.random.default_rng(20241018)
         for _ in range(30):
             sysm, partition, system = random_dominant_instance(rng, n_max=30)
-            u_direct = solve_dsnp(system, sysm, partition).u
+            u_direct = solve_dsnp(system).u
             res = solve_qp(system)
             scale = float(np.max(np.abs(system.b)))
             assert res.objective <= 1e-9 * scale

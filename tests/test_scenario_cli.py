@@ -46,6 +46,28 @@ SINGULAR_DOC = {
     ],
 }
 
+# two links; channel 1 crosses both, channel 2 only the one-span link 2
+NETWORK_DOC = {
+    "network": {"links": [{"id": 1, "num_spans": 2}, {"id": 2, "spans": [{"loss_dB": 20.0}]}]},
+    "channels": [{"id": 1, "route": [1, 2]}, {"id": 2, "route": [2]}],
+    "partition": [
+        {"role": "player", "alpha": 1.0, "beta": 2.0, "a": 0.01},
+        {"role": "seeker", "target_osnr_db": 20.0},
+    ],
+}
+
+
+def on_network(mutate):
+    """A parity mutation applied to a copy of NETWORK_DOC in place of the
+    matrix document."""
+
+    def apply(doc):
+        doc.clear()
+        doc.update(json.loads(json.dumps(NETWORK_DOC)))
+        mutate(doc)
+
+    return apply
+
 
 def write_doc(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
@@ -386,6 +408,20 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == "" and out.err == message
 
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ({"min_mW": "1"}, "error: power_limits.min_mW must be a number, got '1'\n"),
+            ({"max_mW": True}, "error: power_limits.max_mW must be a number, got True\n"),
+        ],
+        ids=["min-mw-str", "max-mw-bool"],
+    )
+    def test_mistyped_power_limit_is_an_input_error(self, limits, message, tmp_path, capsys):
+        path = write_doc(tmp_path, {**FIXTURE_A_DOC, "power_limits": limits})
+        assert main(["solve", path]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == message
+
     def test_infinite_u0_in_scenario_is_an_input_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
         doc["run"] = {"u0": float("inf")}
@@ -499,11 +535,20 @@ class TestSchemaParity:
             lambda d: d.update(run={"tol": True}),
             lambda d: d.update(run={"u0": True}),
             lambda d: d.update(run={"u0": [0.5, True]}),
+            lambda d: d.update(power_limits={"min_mW": "1"}),
+            lambda d: d.update(power_limits={"max_mW": True}),
+            lambda d: d["matrix"]["gamma"][0].__setitem__(1, -0.002),
+            on_network(lambda d: d["channels"][1].update(route=[])),
+            on_network(lambda d: d["network"]["links"][1].update(spans=[])),
+            on_network(lambda d: d["network"]["links"][1]["spans"][0].update(
+                gain={"peak_gain_dB": 0})),
         ],
         ids=["solver", "tol-zero", "tol-negative", "max-iter-zero", "player-without-a",
              "record-trace-str", "record-trace-int", "strict-nonneg-str",
              "u0-infinity", "u0-array-minus-infinity", "max-iter-fraction",
-             "max-iter-bool", "tol-bool", "u0-bool", "u0-array-bool"],
+             "max-iter-bool", "tol-bool", "u0-bool", "u0-array-bool",
+             "min-mw-str", "max-mw-bool", "gamma-negative", "route-empty",
+             "spans-empty", "peak-gain-zero"],
     )
     def test_malformed_rejected_by_both(self, mutate, schema_validator):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
