@@ -19,9 +19,13 @@ from .run import emit, execute, to_jsonable, write_json
 from .scenario import RunOptions, Scenario, demo3_scenario, demo30_scenario, load_scenario
 
 
-def _add_common(parser: argparse.ArgumentParser, with_scenario: bool = True):
+def _add_args(parser: argparse.ArgumentParser, with_scenario: bool = True,
+              with_run: bool = True):
     if with_scenario:
         parser.add_argument("scenario", help="path to a scenario JSON file")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    if not with_run:
+        return
     parser.add_argument("--tol", type=float, default=None, help="override run.tol")
     parser.add_argument("--max-iter", type=int, default=None, help="override run.max_iter")
     parser.add_argument(
@@ -29,7 +33,6 @@ def _add_common(parser: argparse.ArgumentParser, with_scenario: bool = True):
         help="initial powers in mW: one value or a comma-separated list",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument(
         "--strict-nonneg", action="store_true",
         help="abort the iteration on the first negative power",
@@ -73,7 +76,7 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
+    scenario = load_scenario(args.scenario)
     system = assemble(scenario.system_matrix(), scenario.partition)
     feas = direct_mod.check_feasibility(system)
     bounds = None
@@ -107,27 +110,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a scenario with auto routing")
-    _add_common(p)
+    _add_args(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check", help="feasibility and power bounds only")
-    _add_common(p)
+    _add_args(p, with_run=False)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("iterate", help="distributed iterative run with trace")
-    _add_common(p)
+    _add_args(p)
     p.set_defaults(func=_cmd_iterate)
 
     p = sub.add_parser("gamma", help="print the coupling matrix and noise vector")
-    _add_common(p)
+    _add_args(p, with_run=False)
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("demo3", help="3-channel built-in fixture (2 players, 1 seeker)")
-    _add_common(p, with_scenario=False)
+    _add_args(p, with_scenario=False)
     p.set_defaults(func=_cmd_demo(demo3_scenario))
 
     p = sub.add_parser("demo30", help="30-channel built-in fixture (20 players, 10 seekers)")
-    _add_common(p, with_scenario=False)
+    _add_args(p, with_scenario=False)
     p.set_defaults(func=_cmd_demo(demo30_scenario))
 
     return parser

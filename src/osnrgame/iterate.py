@@ -23,7 +23,7 @@ DIVERGENCE_LIMIT_MW = 1e12
 
 @dataclass
 class IterationTrace:
-    # every iterate when record_trace is set; only the CSV trace reads them
+    # every iterate, the start included; only the CSV trace reads them
     iterates: list[np.ndarray] = field(default_factory=list, metadata={"json": False})
     error_history: list[float] = field(default_factory=list)
     contraction_ratios: list[float | None] = field(default_factory=list)
@@ -86,11 +86,10 @@ def run(
         ref_scale = 1.0 + float(np.max(np.abs(reference)))
         eps_floor = max(eps_floor, 100.0 * np.sqrt(eps) * ref_scale)
     trace = IterationTrace()
-    u = options.initial_powers(system.size)
+    u = options.initial_powers(system.size).copy()  # may be options.u0 itself
 
     def record(vec: np.ndarray, step_idx: int):
-        if options.record_trace:
-            trace.iterates.append(vec.copy())
+        trace.iterates.append(vec)  # step returns a new array each time
         if reference is not None:
             err = float(np.max(np.abs(vec - reference)))
             if trace.error_history:
@@ -115,7 +114,7 @@ def run(
                 raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
             if float(np.max(np.abs(u_next - u))) <= options.tol:
                 trace.converged_at = k
-                trace.final = u_next.copy()
+                trace.final = u_next
                 return trace
             if float(np.max(np.abs(u_next))) > DIVERGENCE_LIMIT_MW:
                 raise DivergenceError(f"iteration diverged at step {k}", trace=trace)

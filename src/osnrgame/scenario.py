@@ -3,17 +3,20 @@ network or an explicit coupling matrix, the per-channel roles, and the run
 options. dB values are accepted only at this boundary; everything past
 ingestion is linear and in mW.
 
-Defaults mirror the reference simulation setup: 5 spans per link, a
-parabolic 30 dB gain profile centered at 1555 nm, 1 nm channel spacing
-around the center, and transmitter noise of 0.5% of a 1 mW reference
-input.
+The parser maps each JSON object onto its model dataclass, and a key left
+out takes that field's default, which mirrors the reference simulation
+setup (a parabolic 30 dB gain profile centered at 1555 nm, 30 dB span loss,
+20 mW amplifier output). The defaults set here fill no such field: 5 spans
+per link, a 1 nm channel grid around 1555 nm, every link as the route, and
+transmitter noise of 0.5% of a 1 mW reference input.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import numbers
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -35,7 +38,6 @@ DEFAULT_SPANS = 5
 DEFAULT_CENTER_NM = 1555.0
 DEFAULT_SPACING_NM = 1.0
 DEFAULT_TX_NOISE_MW = 0.005  # 0.5% of a 1 mW reference input
-DEFAULT_OUTPUT_POWER_MW = 20.0
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
 DEFAULT_U0_MW = 0.5
@@ -49,27 +51,21 @@ class RunOptions:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     u0: np.ndarray | None = None  # finite mW; None: uniform default fill
-    record_trace: bool = True
     strict_nonnegative: bool = False
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ScenarioError(f"run.solver must be one of {SOLVERS}, got {self.solver!r}")
-        for name in ("tol", "max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ScenarioError(f"run.{name} must be a number, got {value!r}")
+        _checked(self.tol, "run.tol", float)
         if not self.tol > 0:
             raise ScenarioError("run.tol must be > 0")
-        if not float(self.max_iter).is_integer():
-            raise ScenarioError(f"run.max_iter must be an integer, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", _checked(self.max_iter, "run.max_iter", int))
         if self.max_iter < 1:
             raise ScenarioError("run.max_iter must be >= 1")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        for name in ("record_trace", "strict_nonnegative"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ScenarioError(f"run.{name} must be true or false, got {value!r}")
+        if not isinstance(self.strict_nonnegative, bool):
+            raise ScenarioError(
+                f"run.strict_nonnegative must be true or false, got {self.strict_nonnegative!r}"
+            )
         if self.u0 is not None:
             raw = self.u0 if isinstance(self.u0, (list, tuple, np.ndarray)) else [self.u0]
             if any(isinstance(v, (bool, np.bool_)) for v in raw):
@@ -114,8 +110,8 @@ class Scenario:
             )
         for name in ("min_mW", "max_mW"):
             value = getattr(self, f"power_{name}")
-            if isinstance(value, bool) or not isinstance(value, (numbers.Real, type(None))):
-                raise ScenarioError(f"power_limits.{name} must be a number, got {value!r}")
+            if value is not None:
+                _checked(value, f"power_limits.{name}", float)
 
     def system_matrix(self) -> SystemMatrix:
         if self.matrix is not None:
@@ -133,130 +129,144 @@ def wavelength_grid(n: int, center_nm: float = DEFAULT_CENTER_NM,
     return [center_nm + (i - (n - 1) / 2.0) * spacing_nm for i in range(n)]
 
 
-def _parse_gain(obj: dict) -> GainProfile:
-    table = obj.get("table")
-    return GainProfile(
-        shape=obj.get("shape", "parabolic"),
-        peak_gain_dB=obj.get("peak_gain_dB", 30.0),
-        center_nm=obj.get("center_nm", DEFAULT_CENTER_NM),
-        curvature_dB_per_nm2=obj.get("curvature_dB_per_nm2", 0.05),
-        table=tuple(tuple(row) for row in table) if table else None,
-    )
+_NOUNS = {float: ("a number", "numbers"), int: ("an integer", "integers")}
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+_JSON_NUMBERS = {float: frozenset({int, float}), int: frozenset({int})}
 
 
-def _parse_span(obj: dict) -> Span:
-    ase_obj = obj.get("ase", {})
-    return Span(
-        gain_profile=_parse_gain(obj.get("gain", {})),
-        loss_dB=obj.get("loss_dB", 30.0),
-        ase=AseParams(
-            nsp=ase_obj.get("nsp", 1.5),
-            optical_bandwidth_GHz=ase_obj.get("optical_bandwidth_GHz", 12.5),
-            fixed_ase_mW=ase_obj.get("fixed_ase_mW"),
-        ),
-    )
+def _checked(value, where: str, kind, array: bool = False):
+    """A JSON value for a field of type kind that holds an array when array
+    is set, with every array in it (at any depth) made a tuple. A float or
+    int field must hold numbers, integral ones for int (returned as int). A
+    dataclass field is built from its object; other kinds are left to the
+    class."""
+    if array and isinstance(value, list):
+        if set(map(type, value)) <= _JSON_NUMBERS.get(kind, frozenset()):
+            return tuple(value)
+        return tuple(_checked(v, where, kind, True) for v in value)
+    if kind not in _NOUNS:
+        return _build(kind, value, where) if is_dataclass(kind) else value
+    if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES) or (
+        kind is int and not float(value).is_integer()
+    ):
+        raise ScenarioError(f"{where} must be {_NOUNS[kind][array]}, got {value!r}")
+    return int(value) if kind is int else value
 
 
-def _parse_link(obj: dict) -> Link:
-    if "spans" in obj:
-        spans = tuple(_parse_span(s) for s in obj["spans"])
+@functools.cache
+def _fields(cls) -> dict[str, tuple]:
+    """From the annotations of cls, for each field: the type of its scalars,
+    whether it holds an array, and the value types that need no check."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        array = False
+        while hint is np.ndarray or typing.get_args(hint):  # unwrap X | None, tuple[X, ...]
+            array = array or hint is np.ndarray or typing.get_origin(hint) is tuple
+            hint = float if hint is np.ndarray else typing.get_args(hint)[0]
+        kinds[name] = (hint, array, _JSON_NUMBERS.get(hint, frozenset()))
+    return kinds
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be an object, got {value!r}")
+    return value
+
+
+def _build(cls, obj, where: str, **given):
+    """cls from the given field values and, for its other fields, the keys
+    of the JSON object obj that name them, each through _checked. A field
+    in neither keeps its dataclass default; a required one is an input
+    error."""
+    kinds = _fields(cls)
+    values = dict(given)
+    for key, value in _object(obj, where).items():
+        if key in kinds and key not in given:
+            kind, array, plain = kinds[key]
+            if type(value) not in plain:
+                value = _checked(value, f"{where}.{key}", kind, array)
+            values[key] = value
+    try:
+        return cls(**values)
+    except TypeError as exc:  # every value is checked, so a required field is absent
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _parse_span(obj, where: str) -> Span:
+    gain = _object(obj, where).get("gain", {})
+    return _build(Span, obj, where, gain_profile=_build(GainProfile, gain, f"{where}.gain"))
+
+
+def _parse_link(obj, where: str) -> Link:
+    if "spans" in _object(obj, where):
+        spans = [_parse_span(s, f"{where}.spans[{k}]") for k, s in enumerate(obj["spans"])]
     else:
-        spans = tuple(
-            _parse_span(obj.get("span", {})) for _ in range(obj.get("num_spans", DEFAULT_SPANS))
-        )
-    return Link(
-        id=obj["id"],
-        spans=spans,
-        output_power_mW=obj.get("output_power_mW", DEFAULT_OUTPUT_POWER_MW),
-    )
+        count = _checked(obj.get("num_spans", DEFAULT_SPANS), f"{where}.num_spans", int)
+        spans = [_parse_span(obj.get("span", {}), f"{where}.span")] * count
+    return _build(Link, obj, where, spans=tuple(spans))
 
 
-def _parse_role(obj: dict, where: str) -> PlayerParams | SeekerParams:
-    role = obj.get("role")
+def _parse_role(obj, where: str) -> PlayerParams | SeekerParams:
+    role = _object(obj, where).get("role")
     if role == "player":
-        for key in ("alpha", "beta", "a"):
-            if key not in obj:
-                raise ScenarioError(f"{where}: player role missing field {key!r}")
-        return PlayerParams(alpha=obj["alpha"], beta=obj["beta"], a=obj["a"])
+        return _build(PlayerParams, obj, where)
     if role == "seeker":
         if "target_osnr_db" not in obj:
-            raise ScenarioError(f"{where}: seeker role missing field 'target_osnr_db'")
-        return SeekerParams(gamma=db_to_linear(obj["target_osnr_db"]))
+            raise ScenarioError(f"{where}: missing field 'target_osnr_db'")
+        target_db = _checked(obj["target_osnr_db"], f"{where}.target_osnr_db", float)
+        return SeekerParams(gamma=db_to_linear(target_db))
     raise ScenarioError(f"{where}: role must be 'player' or 'seeker', got {role!r}")
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         return _scenario_from_dict(doc)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     except ValidationError as exc:
         raise ScenarioError(str(exc)) from exc
 
 
 def _scenario_from_dict(doc: dict) -> Scenario:
-    matrix = None
-    network = None
+    matrix = network = None
     channels: tuple[ChannelSpec, ...] = ()
 
     if ("matrix" in doc) == ("network" in doc):
         raise ScenarioError("scenario must contain exactly one of 'matrix'/'network'")
 
     if "matrix" in doc:
-        mat = doc["matrix"]
-        matrix = SystemMatrix(
-            gamma=np.asarray(mat["gamma"], dtype=float),
-            n0=np.asarray(mat["n0"], dtype=float),
-        )
-        n = matrix.size
+        matrix = _build(SystemMatrix, doc["matrix"], "matrix")
     else:
-        net = doc["network"]
-        network = LinkNetwork(links=tuple(_parse_link(l) for l in net["links"]))
+        net = _object(doc["network"], "network")
+        network = LinkNetwork(links=tuple(
+            _parse_link(l, f"network.links[{k}]") for k, l in enumerate(net["links"])
+        ))
         raw_channels = doc.get("channels")
         if not raw_channels:
             raise ScenarioError("network scenario requires a 'channels' list")
-        n = len(raw_channels)
-        grid = wavelength_grid(
-            n,
-            center_nm=net.get("center_nm", DEFAULT_CENTER_NM),
-            spacing_nm=net.get("spacing_nm", DEFAULT_SPACING_NM),
-        )
-        all_links = tuple(l.id for l in network.links)
+        center = _checked(net.get("center_nm", DEFAULT_CENTER_NM), "network.center_nm", float)
+        spacing = _checked(net.get("spacing_nm", DEFAULT_SPACING_NM), "network.spacing_nm", float)
+        grid = wavelength_grid(len(raw_channels), center_nm=center, spacing_nm=spacing)
+        all_links = [l.id for l in network.links]
         channels = tuple(
-            ChannelSpec(
-                id=c.get("id", k + 1),
-                wavelength_nm=c.get("wavelength_nm", grid[k]),
-                tx_noise_mW=c.get("tx_noise_mW", DEFAULT_TX_NOISE_MW),
-                route=tuple(c.get("route", all_links)),
-            )
+            _build(ChannelSpec, {
+                "id": k + 1, "wavelength_nm": grid[k], "tx_noise_mW": DEFAULT_TX_NOISE_MW,
+                "route": all_links, **_object(c, f"channels[{k}]"),
+            }, f"channels[{k}]")
             for k, c in enumerate(raw_channels)
         )
 
     raw_partition = doc.get("partition")
     if not raw_partition:
         raise ScenarioError("scenario requires a 'partition' list")
-    if len(raw_partition) != n:
-        raise ScenarioError(
-            f"partition has {len(raw_partition)} entries for {n} channels"
-        )
     roles = tuple(
         _parse_role(entry, f"partition[{k}]") for k, entry in enumerate(raw_partition)
     )
 
-    run_obj = doc.get("run", {})
-    run = RunOptions(
-        solver=run_obj.get("solver", "auto"),
-        tol=run_obj.get("tol", DEFAULT_TOL),
-        max_iter=run_obj.get("max_iter", DEFAULT_MAX_ITER),
-        u0=run_obj.get("u0"),
-        record_trace=run_obj.get("record_trace", True),
-        strict_nonnegative=run_obj.get("strict_nonnegative", False),
-    )
-
-    limits = doc.get("power_limits", {})
+    limits = _object(doc.get("power_limits", {}), "power_limits")
     return Scenario(
         partition=ServicePartition(roles=roles),
-        run=run,
+        run=_build(RunOptions, doc["run"], "run") if "run" in doc else RunOptions(),
         matrix=matrix,
         network=network,
         channels=channels,
@@ -287,25 +297,16 @@ def demo3_scenario() -> Scenario:
     discloses its values, so agreement is qualitative (ordering and target
     attainment), not exact OSNR figures.
     """
-    doc = {
-        "network": {
-            "links": [
-                {
-                    "id": 1,
-                    "output_power_mW": DEFAULT_OUTPUT_POWER_MW,
-                    "num_spans": DEFAULT_SPANS,
-                }
-            ]
-        },
+    return scenario_from_dict({
+        "network": {"links": [{"id": 1}]},
         "channels": [{"id": 1}, {"id": 2}, {"id": 3}],
         "partition": [
             {"role": "player", "alpha": 1.0, "beta": 2.0, "a": 0.1},
             {"role": "player", "alpha": 1.0, "beta": 3.0, "a": 0.1},
             {"role": "seeker", "target_osnr_db": 20.0},
         ],
-        "run": {"solver": "auto", "tol": 1e-10, "max_iter": 10000},
-    }
-    return scenario_from_dict(doc)
+        "run": {"tol": 1e-10},
+    })
 
 
 def demo30_scenario() -> Scenario:
@@ -315,33 +316,14 @@ def demo30_scenario() -> Scenario:
     than the 3-channel demo so the dominance conditions hold across the
     full 30 nm band.
     """
-    span = {
-        "gain": {
-            "shape": "parabolic",
-            "peak_gain_dB": 30.0,
-            "center_nm": DEFAULT_CENTER_NM,
-            "curvature_dB_per_nm2": 0.002,
-        },
-        "loss_dB": 30.0,
-        "ase": {"nsp": 1.5, "optical_bandwidth_GHz": 12.5},
-    }
+    span = {"gain": {"curvature_dB_per_nm2": 0.002}}
     partition = [
         {"role": "player", "alpha": 1.0, "beta": 2.0 + 0.05 * k, "a": 0.1}
         for k in range(20)
     ] + [{"role": "seeker", "target_osnr_db": 20.0} for _ in range(10)]
-    doc = {
-        "network": {
-            "links": [
-                {
-                    "id": 1,
-                    "output_power_mW": 200.0,
-                    "num_spans": DEFAULT_SPANS,
-                    "span": span,
-                }
-            ]
-        },
+    return scenario_from_dict({
+        "network": {"links": [{"id": 1, "output_power_mW": 200.0, "span": span}]},
         "channels": [{"id": k + 1} for k in range(30)],
         "partition": partition,
-        "run": {"solver": "auto", "tol": 1e-10, "max_iter": 10000},
-    }
-    return scenario_from_dict(doc)
+        "run": {"tol": 1e-10},
+    })

@@ -114,9 +114,7 @@ def test_criterion_3_direct_iterative_agreement(capsys):
     worst_time = 0.0
     for sysm, part, stack in _instances():
         sol = solve_dsnp(stack)
-        cfg = RunOptions(
-            u0=np.full(stack.size, 0.5), tol=1e-10, record_trace=False
-        )
+        cfg = RunOptions(u0=np.full(stack.size, 0.5), tol=1e-10)
         t0 = time.perf_counter()
         trace = iterate_run(stack, cfg, reference=sol.u)
         worst_time = max(worst_time, time.perf_counter() - t0)
@@ -137,9 +135,7 @@ def test_criterion_4_contraction_certificate(capsys):
         sol = solve_dsnp(stack)
         sigma = convergence_rate(stack)
         all_sigma_lt_1 = all_sigma_lt_1 and sigma < 1.0
-        cfg = RunOptions(
-            u0=np.full(stack.size, 0.5), tol=1e-10, record_trace=False
-        )
+        cfg = RunOptions(u0=np.full(stack.size, 0.5), tol=1e-10)
         trace = iterate_run(stack, cfg, reference=sol.u)
         ratios = [r for r in trace.contraction_ratios if r is not None]
         if ratios:

@@ -229,13 +229,6 @@ class TestRun:
         trace = run(stack, RunOptions(u0=u_star, tol=1e-8))
         assert trace.converged_at == 1
 
-    def test_no_trace_recording(self, fixture_a):
-        _, _, stack = fixture_a
-        cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-10, record_trace=False)
-        trace = run(stack, cfg)
-        assert trace.iterates == []
-        assert trace.final is not None
-
     def test_max_iter_exhausted(self, fixture_a):
         _, _, stack = fixture_a
         cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=3)

@@ -6,11 +6,17 @@ import subprocess
 import sys
 import types
 
+import json
+
+import pytest
+
 import osnrgame
+from osnrgame.scenario import scenario_from_dict
 
 from helpers import subprocess_env
 
-README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def test_library_example_runs():
@@ -33,3 +39,12 @@ def test_every_exported_name_is_documented():
     )
     assert len(exported) <= 15
     assert [name for name in exported if f"`{name}" not in README] == []
+
+
+def test_minimal_scenario_validates_and_loads():
+    jsonschema = pytest.importorskip("jsonschema")
+    block = re.search(r"Minimal scenario.*?```json\n(.*?)```", README, re.DOTALL).group(1)
+    doc = json.loads(block)
+    jsonschema.Draft202012Validator(json.loads((ROOT / "scenario.schema.json").read_text())
+                                    ).validate(doc)
+    assert scenario_from_dict(doc).size == 2

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -69,6 +70,11 @@ def on_network(mutate):
     return apply
 
 
+def first_span(doc):
+    """The one span of link 2 in a NETWORK_DOC copy."""
+    return doc["network"]["links"][1]["spans"][0]
+
+
 def write_doc(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -123,7 +129,6 @@ class TestScenarioParsing:
             lambda d: d.update(run={"solver": "magic"}),
             lambda d: d.update(run={"tol": 0.0}),
             lambda d: d.update(run={"strict_nonnegative": "no"}),
-            lambda d: d.update(run={"record_trace": 1}),
         ],
     )
     def test_malformed_documents(self, mutate):
@@ -180,17 +185,6 @@ class TestExecute:
         assert report.trace is not None
         assert report.trace.converged_at is not None
         assert report.solution.u == pytest.approx([35 / 47, 60 / 47], abs=1e-8)
-
-    @pytest.mark.parametrize("solver", ["iterative", "auto"])
-    def test_record_trace_false(self, solver, tmp_path):
-        doc = json.loads(json.dumps(FIXTURE_A_DOC))
-        doc["run"] = {"solver": solver, "record_trace": False}
-        report = execute(scenario_from_dict(doc))
-        assert report.trace.converged_at is not None
-        assert report.trace.iterates == []
-        out = str(tmp_path / "trace.csv")
-        emit(report, fmt="csv", out_path=out)
-        assert open(out).read() == "step,channel,u_mW,osnr_dB,err_inf\n"
 
     def test_failed_cross_check_keeps_direct_answer(self):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
@@ -422,6 +416,32 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == "" and out.err == message
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(run=5), "error: run must be an object, got 5\n"),
+            # squareness is beyond the schema, so this row has no parity twin
+            (lambda d: d["matrix"]["gamma"][1].pop(), None),
+        ],
+        ids=["run-int", "gamma-ragged"],
+    )
+    def test_malformed_sub_document_is_an_input_error(self, mutate, message, tmp_path,
+                                                      capsys):
+        doc = json.loads(json.dumps(FIXTURE_A_DOC))
+        mutate(doc)
+        assert main(["solve", write_doc(tmp_path, doc)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert message is None or out.err == message
+
+    @pytest.mark.parametrize("command", ["check", "gamma"])
+    def test_check_and_gamma_take_only_scenario_and_out(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        text = capsys.readouterr().out
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text)) == {"-h", "--help", "--out"}
+        assert "scenario" in text
+
     def test_infinite_u0_in_scenario_is_an_input_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
         doc["run"] = {"u0": float("inf")}
@@ -520,35 +540,69 @@ class TestSchemaParity:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda d: d.update(run={"solver": "newton"}),
-            lambda d: d.update(run={"tol": 0.0}),
-            lambda d: d.update(run={"tol": -1e-8}),
-            lambda d: d.update(run={"max_iter": 0}),
-            lambda d: d["partition"][0].pop("a"),
-            lambda d: d.update(run={"record_trace": "yes"}),
-            lambda d: d.update(run={"record_trace": 1}),
-            lambda d: d.update(run={"strict_nonnegative": "no"}),
-            lambda d: d.update(run={"u0": float("inf")}),
-            lambda d: d.update(run={"u0": [0.5, float("-inf")]}),
-            lambda d: d.update(run={"max_iter": 2.5}),
-            lambda d: d.update(run={"max_iter": True}),
-            lambda d: d.update(run={"tol": True}),
-            lambda d: d.update(run={"u0": True}),
-            lambda d: d.update(run={"u0": [0.5, True]}),
-            lambda d: d.update(power_limits={"min_mW": "1"}),
-            lambda d: d.update(power_limits={"max_mW": True}),
-            lambda d: d["matrix"]["gamma"][0].__setitem__(1, -0.002),
-            on_network(lambda d: d["channels"][1].update(route=[])),
-            on_network(lambda d: d["network"]["links"][1].update(spans=[])),
-            on_network(lambda d: d["network"]["links"][1]["spans"][0].update(
-                gain={"peak_gain_dB": 0})),
+            pytest.param(lambda d: d.update(run={"solver": "newton"}), id="solver"),
+            pytest.param(lambda d: d.update(run={"tol": 0.0}), id="tol-zero"),
+            pytest.param(lambda d: d.update(run={"tol": -1e-8}), id="tol-negative"),
+            pytest.param(lambda d: d.update(run={"max_iter": 0}), id="max-iter-zero"),
+            pytest.param(lambda d: d["partition"][0].pop("a"), id="player-without-a"),
+            pytest.param(lambda d: d.update(run={"strict_nonnegative": "no"}),
+                         id="strict-nonneg-str"),
+            pytest.param(lambda d: d.update(run={"u0": float("inf")}), id="u0-infinity"),
+            pytest.param(lambda d: d.update(run={"u0": [0.5, float("-inf")]}),
+                         id="u0-array-minus-infinity"),
+            pytest.param(lambda d: d.update(run={"max_iter": 2.5}), id="max-iter-fraction"),
+            pytest.param(lambda d: d.update(run={"max_iter": True}), id="max-iter-bool"),
+            pytest.param(lambda d: d.update(run={"tol": True}), id="tol-bool"),
+            pytest.param(lambda d: d.update(run={"u0": True}), id="u0-bool"),
+            pytest.param(lambda d: d.update(run={"u0": [0.5, True]}), id="u0-array-bool"),
+            pytest.param(lambda d: d.update(power_limits={"min_mW": "1"}), id="min-mw-str"),
+            pytest.param(lambda d: d.update(power_limits={"max_mW": True}), id="max-mw-bool"),
+            pytest.param(lambda d: d["matrix"]["gamma"][0].__setitem__(1, -0.002),
+                         id="gamma-negative"),
+            pytest.param(on_network(lambda d: d["channels"][1].update(route=[])),
+                         id="route-empty"),
+            pytest.param(on_network(lambda d: d["network"]["links"][1].update(spans=[])),
+                         id="spans-empty"),
+            pytest.param(on_network(lambda d: first_span(d).update(gain={"peak_gain_dB": 0})),
+                         id="peak-gain-zero"),
+            # a sub-document that is not an object
+            pytest.param(lambda d: d.update(run=5), id="run-int"),
+            pytest.param(lambda d: d.update(power_limits=[1]), id="power-limits-list"),
+            pytest.param(lambda d: d.update(partition=[5, 5]), id="partition-ints"),
+            pytest.param(on_network(lambda d: d.update(channels=[5, 5])), id="channels-ints"),
+            pytest.param(on_network(lambda d: d["network"]["links"][0].update(span=5)),
+                         id="span-int"),
+            pytest.param(on_network(lambda d: first_span(d).update(gain=5)), id="gain-int"),
+            pytest.param(on_network(lambda d: first_span(d).update(ase=5)), id="ase-int"),
+            # values numpy or a dataclass would reject with a ValueError
+            pytest.param(lambda d: d["matrix"].update(n0="abc"), id="n0-str"),
+            pytest.param(lambda d: d["matrix"]["gamma"][0].__setitem__(1, "x"),
+                         id="gamma-entry-str"),
+            pytest.param(on_network(lambda d: first_span(d).update(
+                gain={"shape": "tabulated", "table": [[1550]]})), id="table-row-short"),
+            pytest.param(on_network(lambda d: first_span(d).update(
+                gain={"shape": "tabulated", "table": "ab"})), id="table-str"),
+            # a boolean where a number belongs, a string where an integer id belongs
+            pytest.param(lambda d: d["partition"][0].update(alpha=True), id="alpha-bool"),
+            pytest.param(lambda d: d["partition"][1].update(target_osnr_db=True),
+                         id="target-osnr-bool"),
+            pytest.param(on_network(lambda d: first_span(d).update(loss_dB=True)),
+                         id="loss-bool"),
+            pytest.param(on_network(lambda d: d["network"]["links"][0].update(num_spans=True)),
+                         id="num-spans-bool"),
+            pytest.param(on_network(lambda d: d["network"]["links"][0].update(
+                output_power_mW=True)), id="output-power-bool"),
+            pytest.param(on_network(lambda d: d["channels"][0].update(wavelength_nm=True)),
+                         id="wavelength-bool"),
+            pytest.param(lambda d: d["matrix"]["gamma"][0].__setitem__(1, True),
+                         id="gamma-entry-bool"),
+            pytest.param(on_network(lambda d: d["network"]["links"][1].update(id="2")),
+                         id="link-id-str"),
+            pytest.param(on_network(lambda d: d["channels"][0].update(id="1")),
+                         id="channel-id-str"),
+            pytest.param(on_network(lambda d: d["channels"][1].update(route=["2"])),
+                         id="route-str"),
         ],
-        ids=["solver", "tol-zero", "tol-negative", "max-iter-zero", "player-without-a",
-             "record-trace-str", "record-trace-int", "strict-nonneg-str",
-             "u0-infinity", "u0-array-minus-infinity", "max-iter-fraction",
-             "max-iter-bool", "tol-bool", "u0-bool", "u0-array-bool",
-             "min-mw-str", "max-mw-bool", "gamma-negative", "route-empty",
-             "spans-empty", "peak-gain-zero"],
     )
     def test_malformed_rejected_by_both(self, mutate, schema_validator):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
@@ -556,6 +610,73 @@ class TestSchemaParity:
         assert not schema_validator.is_valid(doc)
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    def test_integral_float_num_spans_accepted_by_both(self, schema_validator):
+        doc = json.loads(json.dumps(NETWORK_DOC))
+        doc["network"]["links"][0]["num_spans"] = 2.0
+        schema_validator.validate(doc)
+        assert len(scenario_from_dict(doc).network.links[0].spans) == 2
+
+    def test_zero_matrix_noise_accepted_by_both(self, schema_validator):
+        # a network with tx_noise_mW 0 yields n0 = 0 as well
+        doc = json.loads(json.dumps(FIXTURE_A_DOC))
+        doc["matrix"]["n0"] = [0.0, 0.01]
+        schema_validator.validate(doc)
+        assert scenario_from_dict(doc).matrix.n0.tolist() == [0.0, 0.01]
+
+    def test_record_trace_is_an_unknown_key_to_both(self, schema_validator):
+        doc = json.loads(json.dumps(FIXTURE_A_DOC))
+        doc["run"] = {"record_trace": "yes"}
+        schema_validator.validate(doc)
+        assert scenario_from_dict(doc).run == RunOptions()
+
+    def test_schema_defaults_are_the_parser_defaults(self):
+        schema = json.loads(SCHEMA_PATH.read_text())
+        defaults = {}
+
+        def collect(node, path):
+            if isinstance(node, dict):
+                if "default" in node:
+                    defaults[path] = node["default"]
+                for key, sub in node.items():
+                    if key == "properties":
+                        for name, prop in sub.items():
+                            collect(prop, f"{path}.{name}" if path else name)
+                    elif key == "$defs":
+                        for name, definition in sub.items():
+                            collect(definition, name)
+                    elif key == "items":
+                        collect(sub, path)
+
+        collect(schema, "")
+        # one link, two channels on the default grid, every key absent that may be
+        doc = {
+            "network": {"links": [{"id": 1}]},
+            "channels": [{}, {}],
+            "partition": [{"role": "seeker", "target_osnr_db": 20.0}] * 2,
+        }
+        sc = scenario_from_dict(doc)
+        link, span = sc.network.links[0], sc.network.links[0].spans[0]
+        wl = [c.wavelength_nm for c in sc.channels]
+        parsed = {
+            "network.center_nm": (wl[0] + wl[1]) / 2,
+            "network.spacing_nm": wl[1] - wl[0],
+            "network.links.output_power_mW": link.output_power_mW,
+            "network.links.num_spans": len(link.spans),
+            "channels.tx_noise_mW": sc.channels[0].tx_noise_mW,
+            "run.solver": sc.run.solver,
+            "run.tol": sc.run.tol,
+            "run.max_iter": sc.run.max_iter,
+            "run.strict_nonnegative": sc.run.strict_nonnegative,
+            "span.gain.shape": span.gain_profile.shape,
+            "span.gain.peak_gain_dB": span.gain_profile.peak_gain_dB,
+            "span.gain.center_nm": span.gain_profile.center_nm,
+            "span.gain.curvature_dB_per_nm2": span.gain_profile.curvature_dB_per_nm2,
+            "span.loss_dB": span.loss_dB,
+            "span.ase.nsp": span.ase.nsp,
+            "span.ase.optical_bandwidth_GHz": span.ase.optical_bandwidth_GHz,
+        }
+        assert defaults == parsed
 
     def test_integral_float_max_iter_accepted_by_both(self, schema_validator):
         # Draft 2020-12 counts 100.0 as an integer
