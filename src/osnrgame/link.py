@@ -45,17 +45,17 @@ class GainProfile:
     def __post_init__(self):
         if self.shape not in ("parabolic", "flat", "tabulated"):
             raise ValidationError(f"unknown gain profile shape {self.shape!r}")
-        if self.peak_gain_dB <= 0:
+        if not self.peak_gain_dB > 0:
             raise ValidationError("peak_gain_dB must be > 0")
-        if self.curvature_dB_per_nm2 < 0:
+        if not self.curvature_dB_per_nm2 >= 0:
             raise ValidationError("curvature_dB_per_nm2 must be >= 0")
         if self.shape == "tabulated":
             if not self.table:
                 raise ValidationError("tabulated profile requires a table")
             wl = [w for w, _ in self.table]
-            if any(b <= a for a, b in zip(wl, wl[1:])):
+            if not all(b > a for a, b in zip(wl, wl[1:])):
                 raise ValidationError("table wavelengths must be strictly increasing")
-            if any(g > self.peak_gain_dB for _, g in self.table):
+            if not all(g <= self.peak_gain_dB for _, g in self.table):
                 raise ValidationError("table gain exceeds peak_gain_dB")
 
     def gain_db(self, wavelength_nm: float | np.ndarray) -> np.ndarray:
@@ -87,11 +87,11 @@ class AseParams:
     fixed_ase_mW: float | None = None
 
     def __post_init__(self):
-        if self.nsp < 0:
+        if not self.nsp >= 0:
             raise ValidationError("nsp must be >= 0")
-        if self.optical_bandwidth_GHz <= 0:
+        if not self.optical_bandwidth_GHz > 0:
             raise ValidationError("optical_bandwidth_GHz must be > 0")
-        if self.fixed_ase_mW is not None and self.fixed_ase_mW < 0:
+        if self.fixed_ase_mW is not None and not self.fixed_ase_mW >= 0:
             raise ValidationError("fixed_ase_mW must be >= 0")
 
 
@@ -104,7 +104,7 @@ class Span:
     ase: AseParams = field(default_factory=AseParams)
 
     def __post_init__(self):
-        if self.loss_dB < 0:
+        if not self.loss_dB >= 0:
             raise ValidationError("loss_dB must be >= 0")
 
 
@@ -119,7 +119,7 @@ class Link:
     def __post_init__(self):
         if not self.spans:
             raise ValidationError(f"link {self.id} has no spans")
-        if self.output_power_mW <= 0:
+        if not self.output_power_mW > 0:
             raise ValidationError(f"link {self.id}: output_power_mW must be > 0")
 
 
@@ -133,9 +133,9 @@ class ChannelSpec:
     route: tuple[int, ...]
 
     def __post_init__(self):
-        if self.wavelength_nm <= 0:
+        if not self.wavelength_nm > 0:
             raise ValidationError(f"channel {self.id}: wavelength_nm must be > 0")
-        if self.tx_noise_mW < 0:
+        if not self.tx_noise_mW >= 0:
             raise ValidationError(f"channel {self.id}: tx_noise_mW must be >= 0")
         if not self.route:
             raise ValidationError(f"channel {self.id}: route must be non-empty")
@@ -175,6 +175,10 @@ class SystemMatrix:
             raise ValidationError("gamma must be square")
         if n0.shape != (gamma.shape[0],):
             raise ValidationError("n0 length must match gamma dimension")
+        if not np.all(np.isfinite(gamma)):
+            raise ValidationError("gamma entries must be finite")
+        if not np.all(np.isfinite(n0)):
+            raise ValidationError("n0 entries must be finite")
         if np.any(gamma < 0):
             raise ValidationError("gamma entries must be >= 0")
         if np.any(n0 < 0):

@@ -30,11 +30,11 @@ class PlayerParams:
     a: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValidationError("alpha must be > 0")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValidationError("beta must be >= 0")
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValidationError("a must be > 0")
 
 
@@ -45,7 +45,7 @@ class SeekerParams:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValidationError("gamma must be > 0")
 
 
@@ -162,6 +162,11 @@ def assemble(sys: SystemMatrix, partition: ServicePartition) -> ChannelSystem:
     scale, diag, b = (np.array(col, dtype=float) for col in zip(*rows))
     a_mat = scale[:, None] * sys.gamma
     a_mat[np.diag_indices(n_ch)] = diag
+    # finite inputs can still overflow here, say a huge beta or target
+    finite = np.isfinite(b) & np.isfinite(a_mat).all(axis=1)
+    if not finite.all():
+        first = np.flatnonzero(~finite)[0] + 1
+        raise ValidationError(f"channel {first}: its row of A u = b is not finite")
     is_player = np.array([isinstance(r, PlayerParams) for r in partition.roles])
     for arr in (a_mat, b, is_player):
         arr.flags.writeable = False  # the cached factorization must stay valid

@@ -14,11 +14,11 @@ transmitter noise of 0.5% of a 1 mW reference input.
 from __future__ import annotations
 
 import functools
-import json
 import typing
 from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
+import orjson
 
 from .errors import ScenarioError, ValidationError
 from .link import (
@@ -214,7 +214,12 @@ def _parse_role(obj, where: str) -> PlayerParams | SeekerParams:
         if "target_osnr_db" not in obj:
             raise ScenarioError(f"{where}: missing field 'target_osnr_db'")
         target_db = _checked(obj["target_osnr_db"], f"{where}.target_osnr_db", float)
-        return SeekerParams(gamma=db_to_linear(target_db))
+        try:
+            return SeekerParams(gamma=db_to_linear(target_db))
+        except OverflowError:
+            raise ScenarioError(
+                f"{where}.target_osnr_db is out of range, got {target_db!r}"
+            ) from None
     raise ScenarioError(f"{where}: role must be 'player' or 'seeker', got {role!r}")
 
 
@@ -276,12 +281,14 @@ def _scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
+    """The scenario in the JSON file at path. The file must be strict JSON
+    (RFC 8259): UTF-8, and no NaN or Infinity literals."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            doc = orjson.loads(fh.read())
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except orjson.JSONDecodeError as exc:
         raise ScenarioError(
             f"scenario {path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc

@@ -164,6 +164,17 @@ class TestAssemble:
         assert stack.A == pytest.approx(np.eye(2), abs=1e-12)
         assert stack.b == pytest.approx(np.zeros(2), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "role",
+        [PlayerParams(1.0, math.inf, 0.01), PlayerParams(1.0, 2.0, math.inf),
+         SeekerParams(gamma=math.inf)],
+        ids=["beta-infinite", "a-infinite", "seeker-infinite"],
+    )
+    def test_non_finite_row_is_an_input_error(self, fixture_a, role):
+        sysm, _, _ = fixture_a
+        with pytest.raises(ValidationError, match="^channel 2: its row of A u = b is not finite$"):
+            assemble(sysm, ServicePartition(roles=(PlayerParams(1.0, 2.0, 0.01), role)))
+
     def test_dimension_mismatch(self, fixture_a):
         sysm, _, _ = fixture_a
         part = ServicePartition(roles=(PlayerParams(1.0, 2.0, 0.01),))

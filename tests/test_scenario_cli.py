@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -8,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import osnrgame
 from osnrgame import execute, load_scenario
@@ -129,6 +132,15 @@ class TestScenarioParsing:
             lambda d: d.update(run={"solver": "magic"}),
             lambda d: d.update(run={"tol": 0.0}),
             lambda d: d.update(run={"strict_nonnegative": "no"}),
+            # NaN fails every range check; JSON Schema cannot reject it
+            pytest.param(lambda d: d["matrix"]["gamma"][0].__setitem__(1, math.nan),
+                         id="nan-gamma"),
+            pytest.param(lambda d: d["matrix"]["n0"].__setitem__(1, math.nan), id="nan-n0"),
+            pytest.param(on_network(lambda d: first_span(d).update(loss_dB=math.nan)),
+                         id="nan-loss"),
+            pytest.param(lambda d: d["partition"][0].update(alpha=math.nan), id="nan-alpha"),
+            pytest.param(on_network(lambda d: d["channels"][0].update(wavelength_nm=math.nan)),
+                         id="nan-wavelength"),
         ],
     )
     def test_malformed_documents(self, mutate):
@@ -136,6 +148,27 @@ class TestScenarioParsing:
         mutate(doc)
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    @given(
+        entries=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, allow_infinity=False),
+                st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # subnormal
+                st.integers(min_value=0, max_value=2**64 - 1),
+            ),
+            min_size=1, max_size=16,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decoder_matches_json(self, entries, tmp_path_factory):
+        n = math.isqrt(len(entries))
+        gamma = [entries[i * n:(i + 1) * n] for i in range(n)]
+        text = json.dumps({**FIXTURE_A_DOC, "matrix": {"gamma": gamma, "n0": [0.01] * n},
+                           "partition": FIXTURE_A_DOC["partition"][:1] * n})
+        path = tmp_path_factory.mktemp("decode") / "scenario.json"
+        path.write_text(text)
+        want = np.array(json.loads(text)["matrix"]["gamma"], dtype=float)
+        np.testing.assert_array_equal(load_scenario(str(path)).matrix.gamma, want)
 
     def test_bad_json_reports_location(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -446,10 +479,50 @@ class TestCli:
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
         doc["run"] = {"u0": float("inf")}
         path = write_doc(tmp_path, doc)
-        assert '"u0": Infinity' in pathlib.Path(path).read_text()
+        text = pathlib.Path(path).read_text()
+        assert text.index('"u0": Infinity') == 201
         assert main(["iterate", path]) == 1
         out = capsys.readouterr()
-        assert out.err == "error: run.u0 must be finite, got [inf]\n"
+        # strict JSON has no Infinity: the decoder stops at the token
+        assert out.err == (
+            f"error: scenario {path}: parse error at line 1, column 208: unexpected character\n"
+        )
+
+    @pytest.mark.parametrize(
+        "token",
+        [b"\xff", b"NaN", b"Infinity", b"-Infinity"],
+        ids=["byte-ff", "nan", "infinity", "minus-infinity"],
+    )
+    def test_non_utf8_or_non_finite_literal_is_a_parse_error(self, token, tmp_path, capsys):
+        # each token takes the place of one gamma entry
+        text = json.dumps(FIXTURE_A_DOC, indent=1).encode().replace(b"0.002", token, 1)
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text)
+        assert main(["solve", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith(f"error: scenario {path}: parse error at line ")
+        if token != b"\xff":  # the decoder places a UTF-8 error at the start
+            at = text.index(token)
+            line, column = text.count(b"\n", 0, at) + 1, at - text.rfind(b"\n", 0, at)
+            assert f"parse error at line {line}, column {column}: " in out.err
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["partition"][1].update(target_osnr_db=4000.0),
+             "error: partition[1].target_osnr_db is out of range, got 4000.0\n"),
+            (lambda d: d["partition"][0].update(alpha=1e-300, beta=1e300),
+             "error: channel 1: its row of A u = b is not finite\n"),
+        ],
+        ids=["target-overflows", "player-rhs-overflows"],
+    )
+    def test_overflowing_value_is_an_input_error(self, mutate, message, tmp_path, capsys):
+        doc = json.loads(json.dumps(FIXTURE_A_DOC))
+        mutate(doc)
+        assert main(["solve", write_doc(tmp_path, doc)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == message
 
     def test_contradictory_seekers_exit_2_with_certificate(self, tmp_path, capsys):
         # seeker rows (0, 0.9, -0.9) and (0, -0.9, 0.9) with right-hand sides
