@@ -15,7 +15,7 @@ import sys
 from . import direct as direct_mod
 from .errors import NumericalError, OutputError, ValidationError
 from .model import assemble
-from .run import emit, execute, to_jsonable, write_json
+from .run import emit, execute, write_json
 from .scenario import RunOptions, Scenario, demo3_scenario, demo30_scenario, load_scenario
 
 
@@ -82,16 +82,14 @@ def _cmd_check(args) -> int:
     bounds = None
     if feas.nonsingular:
         bounds = direct_mod.power_bounds(system)
-    doc = {"feasibility": to_jsonable(feas), "bounds": to_jsonable(bounds)}
-    write_json(doc, args.out)
+    write_json({"feasibility": feas, "bounds": bounds}, args.out)
     return 0
 
 
 def _cmd_gamma(args) -> int:
     scenario = load_scenario(args.scenario)
     sysmat = scenario.system_matrix()
-    doc = {"gamma": sysmat.gamma.tolist(), "n0": sysmat.n0.tolist()}
-    write_json(doc, args.out)
+    write_json({"gamma": sysmat.gamma, "n0": sysmat.n0}, args.out)
     return 0
 
 

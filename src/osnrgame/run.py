@@ -11,12 +11,12 @@ constrained least-squares solve.
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys as _sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from . import direct as direct_mod
 from . import iterate as iterate_mod
@@ -46,14 +46,13 @@ class RunReport:
 
 def _limit_violations(scenario: Scenario, u: np.ndarray) -> list[str]:
     out = []
-    if scenario.power_min_mW is not None:
-        for i, v in enumerate(u):
-            if v < scenario.power_min_mW:
-                out.append(f"channel {i + 1}: {v:.6g} mW below minimum {scenario.power_min_mW}")
-    if scenario.power_max_mW is not None:
-        for i, v in enumerate(u):
-            if v > scenario.power_max_mW:
-                out.append(f"channel {i + 1}: {v:.6g} mW above maximum {scenario.power_max_mW}")
+    for limit, beyond, side in (
+        (scenario.power_min_mW, np.less, "below minimum"),
+        (scenario.power_max_mW, np.greater, "above maximum"),
+    ):
+        if limit is not None:
+            out += [f"channel {i + 1}: {u[i]:.6g} mW {side} {limit}"
+                    for i in np.flatnonzero(beyond(u, limit))]
     return out
 
 
@@ -118,33 +117,18 @@ def execute(scenario: Scenario) -> RunReport:
     )
 
 
-def to_jsonable(obj):
-    """Plain JSON data; dataclass fields marked metadata={"json": False} are left out."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if f.metadata.get("json", True)
-        }
-    if isinstance(obj, np.ndarray):
+# sorted keys and no timing keep a report byte-stable; NaN and inf are written as null
+JSON_OPTIONS = (orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+                | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_PASSTHROUGH_DATACLASS)
+
+
+def _json_default(obj):
+    if dataclasses.is_dataclass(obj):  # its fields, less those marked {"json": False}
+        return {f.name: getattr(obj, f.name)
+                for f in dataclasses.fields(obj) if f.metadata.get("json", True)}
+    if isinstance(obj, np.ndarray):  # orjson passes on arrays that are not C-contiguous
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
-
-
-def report_to_dict(report: RunReport, include_timing: bool = False) -> dict:
-    """The report as JSON-ready data of size O(N + steps): the coupling matrix
-    comes from `osnrgame gamma` and the per-step arrays from the CSV trace."""
-    doc = to_jsonable(report)
-    if not include_timing:
-        # wall-clock varies run to run; dropping it keeps output byte-stable
-        doc.pop("timing_s")
-    return doc
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _csv_rows(report: RunReport):
@@ -175,7 +159,7 @@ def write_text(text: str, out_path: str | None = None) -> None:
 
 
 def write_json(doc, out_path: str | None = None) -> None:
-    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    write_text(orjson.dumps(doc, default=_json_default, option=JSON_OPTIONS).decode(), out_path)
 
 
 def emit(
@@ -184,9 +168,14 @@ def emit(
     out_path: str | None = None,
     include_timing: bool = False,
 ) -> None:
-    """Write the report as one JSON document or as a per-step CSV trace."""
+    """Write the report as one JSON document of size O(N + steps), or as a
+    per-step CSV trace. The coupling matrix comes from `osnrgame gamma`, the
+    per-step arrays from the CSV trace, and wall-clock timing only on request."""
     if fmt == "json":
-        write_json(report_to_dict(report, include_timing=include_timing), out_path)
+        doc = _json_default(report)
+        if not include_timing:
+            del doc["timing_s"]
+        write_json(doc, out_path)
     elif fmt == "csv":
         write_text("".join(row + "\n" for row in _csv_rows(report)), out_path)
     else:

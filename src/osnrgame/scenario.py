@@ -109,9 +109,9 @@ class Scenario:
                 f"partition covers {self.partition.size} channels, scenario has {n}"
             )
         for name in ("min_mW", "max_mW"):
-            value = getattr(self, f"power_{name}")
-            if value is not None:
-                _checked(value, f"power_limits.{name}", float)
+            value, where = getattr(self, f"power_{name}"), f"power_limits.{name}"
+            if value is not None and not np.isfinite(_checked(value, where, float)):
+                raise ScenarioError(f"{where} must be finite, got {value!r}")
 
     def system_matrix(self) -> SystemMatrix:
         if self.matrix is not None:
@@ -285,12 +285,21 @@ def load_scenario(path: str) -> Scenario:
     (RFC 8259): UTF-8, and no NaN or Infinity literals."""
     try:
         with open(path, "rb") as fh:
-            doc = orjson.loads(fh.read())
+            raw = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    try:
+        doc = orjson.loads(raw)
     except orjson.JSONDecodeError as exc:
+        line, column, msg = exc.lineno, exc.colno, exc.msg
+        try:  # orjson places any invalid UTF-8 at line 1, column 1
+            raw.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            head = raw[:bad.start].decode("utf-8")
+            line, column = head.count("\n") + 1, len(head) - head.rfind("\n")
+            msg = f"invalid UTF-8: {bad.reason}"
         raise ScenarioError(
-            f"scenario {path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"scenario {path}: parse error at line {line}, column {column}: {msg}"
         ) from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"scenario {path}: top level must be an object")

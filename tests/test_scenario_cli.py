@@ -8,6 +8,7 @@ import types
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from osnrgame.direct import Solution
 from osnrgame.errors import EvaluationError, InfeasibleError, ScenarioError
 from osnrgame.link import db_to_linear
 from osnrgame.qp import QpResult
-from osnrgame.run import emit, report_to_dict
+from osnrgame.run import emit
 from osnrgame.scenario import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -38,6 +39,16 @@ FIXTURE_A_DOC = {
         {"role": "player", "alpha": 1.0, "beta": 2.0, "a": 0.01},
         {"role": "seeker", "target_osnr_db": 20.0},
     ],
+}
+
+# the direct solve gives channel 2 a negative power, so it has no OSNR
+NO_OSNR_DOC = {
+    "matrix": {"gamma": [[0.40793, 0.00137], [0.42870, 0.01679]], "n0": [0.00757, 0.00258]},
+    "partition": [
+        {"role": "player", "alpha": 1.0, "beta": 2.5895, "a": 0.5873},
+        {"role": "player", "alpha": 1.0, "beta": 0.8991, "a": 0.4804},
+    ],
+    "run": {"solver": "direct"},
 }
 
 # player row (0.01, 0.002) and seeker row (-5, -1) are parallel: the
@@ -181,6 +192,21 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/scenario.json")
 
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ({"min_mW": math.nan}, "power_limits.min_mW must be finite, got nan"),
+            ({"max_mW": math.inf}, "power_limits.max_mW must be finite, got inf"),
+            ({"min_mW": -math.inf}, "power_limits.min_mW must be finite, got -inf"),
+        ],
+        ids=["min-nan", "max-inf", "min-minus-inf"],
+    )
+    def test_non_finite_power_limit_is_rejected(self, limits, message):
+        # a file cannot carry these; a library caller can
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict({**FIXTURE_A_DOC, "power_limits": limits})
+        assert str(exc.value) == message
+
     def test_u0_shape_check(self):
         opts = RunOptions(u0=np.array([0.1, 0.2, 0.3]))
         with pytest.raises(ScenarioError):
@@ -236,6 +262,15 @@ class TestExecute:
         report = execute(scenario_from_dict(doc))
         assert len(report.power_limit_violations) == 2  # one below, one above
 
+    def test_power_limit_violation_messages(self):
+        # u = (35/47, 60/47) mW
+        doc = {**FIXTURE_A_DOC, "power_limits": {"min_mW": 1, "max_mW": 0.5}}
+        assert execute(scenario_from_dict(doc)).power_limit_violations == [
+            "channel 1: 0.744681 mW below minimum 1",
+            "channel 1: 0.744681 mW above maximum 0.5",
+            "channel 2: 1.2766 mW above maximum 0.5",
+        ]
+
 
 class TestEmit:
     def test_json_byte_stable(self, tmp_path):
@@ -258,8 +293,10 @@ class TestEmit:
         for ratio, db in zip(doc["solution"]["osnr"], doc["solution"]["osnr_db"]):
             assert db == pytest.approx(10.0 * np.log10(ratio), abs=1e-12)
 
-    def test_report_leaves_out_gamma_and_per_step_arrays(self):
-        doc = report_to_dict(execute(scenario_from_dict(FIXTURE_A_DOC)))
+    def test_report_leaves_out_gamma_and_per_step_arrays(self, tmp_path):
+        out = tmp_path / "out.json"
+        emit(execute(scenario_from_dict(FIXTURE_A_DOC)), out_path=str(out))
+        doc = orjson.loads(out.read_bytes())
         assert "gamma" not in doc and "n0" not in doc
         assert set(doc["trace"]) == {
             "converged_at", "final", "error_history", "contraction_ratios", "negative_steps",
@@ -267,8 +304,9 @@ class TestEmit:
         assert len(doc["trace"]["error_history"]) == doc["trace"]["converged_at"] + 1
 
     def test_timing_opt_in(self, tmp_path):
-        report = execute(scenario_from_dict(FIXTURE_A_DOC))
-        doc = report_to_dict(report, include_timing=True)
+        out = tmp_path / "out.json"
+        emit(execute(scenario_from_dict(FIXTURE_A_DOC)), out_path=str(out), include_timing=True)
+        doc = orjson.loads(out.read_bytes())
         assert set(doc["timing_s"]) == {"build", "feasibility", "solve"}
 
     def test_csv_trace(self, tmp_path):
@@ -331,6 +369,23 @@ class TestCli:
         assert main(["solve", path]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["solution"]["u"] == pytest.approx([35 / 47, 60 / 47], rel=1e-10)
+
+    def test_report_without_osnr_is_strict_json(self, tmp_path, capsys):
+        path = write_doc(tmp_path, NO_OSNR_DOC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the negative power is also a UserWarning
+            assert main(["solve", path]) == 0
+        doc = orjson.loads(capsys.readouterr().out)  # strict: no NaN token
+        assert doc["solution"]["u"][1] < 0
+        assert doc["solution"]["osnr_db"][1] is None
+
+    @pytest.mark.parametrize("command", ["solve", "check", "gamma", "demo3", "demo30"])
+    def test_report_is_strict_json(self, command, tmp_path, capsys):
+        scenario = [] if command.startswith("demo") else [write_doc(tmp_path, FIXTURE_A_DOC)]
+        assert main([command, *scenario]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("}\n")
+        assert isinstance(orjson.loads(out), dict)
 
     def test_check_command(self, tmp_path, capsys):
         path = write_doc(tmp_path, FIXTURE_A_DOC)
@@ -502,10 +557,9 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
         assert out.err.startswith(f"error: scenario {path}: parse error at line ")
-        if token != b"\xff":  # the decoder places a UTF-8 error at the start
-            at = text.index(token)
-            line, column = text.count(b"\n", 0, at) + 1, at - text.rfind(b"\n", 0, at)
-            assert f"parse error at line {line}, column {column}: " in out.err
+        at = text.index(token)
+        line, column = text.count(b"\n", 0, at) + 1, at - text.rfind(b"\n", 0, at)
+        assert f"parse error at line {line}, column {column}: " in out.err
 
     @pytest.mark.parametrize(
         "mutate, message",
