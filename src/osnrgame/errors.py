@@ -32,7 +32,9 @@ class NumericalError(OsnrGameError):
 
 class EvaluationError(NumericalError):
     """An evaluation had no valid value: a non-positive OSNR denominator, a
-    zero update pivot or a wavelength outside a gain table."""
+    zero update pivot or a wavelength outside a gain table. channel, when
+    set, is the 0-based array index; the message counts channels from 1,
+    like the rest of the program's output."""
 
     def __init__(self, message, channel=None):
         super().__init__(message)

@@ -126,6 +126,17 @@ class ChannelSystem:
             )
         return factors
 
+    def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        """A x = rhs (trans=1: A^T x = rhs) on the cached LU factors; raises
+        SingularMatrixError when A is numerically singular."""
+        return scipy.linalg.lu_solve(self.lu(), rhs, trans=trans)
+
+    def equality_solution(self) -> np.ndarray:
+        """u* = A^-1 b, with one step of iterative refinement to keep the
+        relative residual well under the verification tolerances."""
+        u = self.solve(self.b)
+        return u + self.solve(self.b - self.A @ u)
+
 
 def osnr(u: np.ndarray, sys: SystemMatrix, coupled: np.ndarray | None = None) -> np.ndarray:
     """Every channel's OSNR u_i / (n0_i + (Gamma u)_i), the self term

@@ -1,8 +1,16 @@
 """Least-squares fallback for target sets the equality system cannot meet.
 
 Minimizes the player residual ||Gt u - bt|| subject to the seeker rows
-Gh u >= bh and returns the minimum-norm minimizer, by a finite method
-(Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23):
+Gh u >= bh and returns the minimum-norm minimizer.
+
+When A is nonsingular, u* = A^-1 b meets every row with equality, so the
+least residual is 0 and u* is the answer exactly when the multipliers
+w = A^-T (2 u*) of min ||u|| s.t. Gt u = bt, Gh u >= bh are >= 0 on the
+seeker rows: KKT conditions suffice for a convex problem (Nocedal & Wright,
+Numerical Optimization, 2006, sections 12.5 and 16.5). One transposed solve
+on the cached factors checks this. When it fails, or A is singular, the
+answer comes from a finite method (Lawson & Hanson, Solving Least Squares
+Problems, 1974, ch. 23):
 1. NNLS on [Gh^T; bh^T] solves min ||u|| s.t. Gh u >= bh, a feasible start,
    or yields y >= 0 with Gh^T y = 0 and bh . y > 0 (raised as InfeasibleError).
 2. A primal active-set pass from that start reaches the least residual.
@@ -45,7 +53,14 @@ class LeastResidual:
 
 @dataclass(frozen=True)
 class QpResult:
-    """Multipliers, the minimum-norm minimizer, and KKT residuals."""
+    """Multipliers, the minimum-norm minimizer, KKT residuals, and the route
+    that found the minimizer: "kkt" when the multipliers at u* = A^-1 b
+    certified it, "active_set" when the search ran.
+
+    mu holds the seeker multipliers of the squared objective. On the "kkt"
+    route the residual is 0, so stationarity reads 0 = Gh^T mu and mu is 0.
+    On the "active_set" route mu is what step 2 found.
+    """
 
     mu: np.ndarray
     u: np.ndarray
@@ -53,6 +68,7 @@ class QpResult:
     stationarity_residual: float
     primal_feasibility_violation: float
     complementary_slackness: float
+    route: str
 
 
 def build_qp(gamma_tilde, b_tilde, gamma_hat, b_hat) -> QpProblem:
@@ -153,7 +169,7 @@ def recover_primal(qp: QpProblem, least: LeastResidual) -> QpResult:
     mu = np.asarray(least.mu, dtype=float)
     if np.any(mu < 0):
         raise UsageError("dual multipliers must be nonnegative")
-    gt, bt, gh, bh = qp.gamma_tilde, qp.b_tilde, qp.gamma_hat, qp.b_hat
+    gt, gh, bh = qp.gamma_tilde, qp.gamma_hat, qp.b_hat
     _, sv, vt = np.linalg.svd(gt / _row_norms(gt)[:, None], full_matrices=True)
     null = vt[int(np.sum(sv > RANK_RTOL)):].T
     u, rho, d = np.asarray(least.u, dtype=float), _row_norms(gh), null.shape[1]
@@ -161,7 +177,12 @@ def recover_primal(qp: QpProblem, least: LeastResidual) -> QpResult:
         np.eye(d), -null.T @ u, (gh @ null) / rho[:, None], (bh - gh @ u) / rho,
         np.zeros(d), least.working, lambda x, value: None,
     )
-    u = u + null @ z
+    return _result(qp, mu, u + null @ z, "active_set")
+
+
+def _result(qp: QpProblem, mu: np.ndarray, u: np.ndarray, route: str) -> QpResult:
+    """A minimizer with its multipliers and KKT residuals."""
+    gt, bt, gh, bh = qp.gamma_tilde, qp.b_tilde, qp.gamma_hat, qp.b_hat
     slack = gh @ u - bh
     return QpResult(
         mu=mu,
@@ -170,10 +191,16 @@ def recover_primal(qp: QpProblem, least: LeastResidual) -> QpResult:
         stationarity_residual=float(np.max(np.abs(2.0 * gt.T @ (gt @ u - bt) - gh.T @ mu))),
         primal_feasibility_violation=float(max(0.0, np.max(-slack))),
         complementary_slackness=float(np.max(np.abs(mu * slack))),
+        route=route,
     )
 
 
 def solve_qp(system: ChannelSystem) -> QpResult:
-    """Build, reach the least residual, and recover the minimum-norm point."""
+    """Certify u* = A^-1 b on the cached factors, or search through all
+    three steps."""
     qp = build_qp_from_stack(system)
+    if system.nonsingular:
+        u = system.equality_solution()
+        if np.all(system.solve(2.0 * u, trans=1)[~system.is_player] >= 0.0):
+            return _result(qp, np.zeros(system.n), u, "kkt")
     return recover_primal(qp, solve_dual(qp))

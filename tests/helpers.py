@@ -113,6 +113,23 @@ def random_small_qp(rng):
     return gt, bt, gh, bh
 
 
+def random_small_system(rng, n_max=4):
+    """A random system of 2 to n_max channels with at least one player and
+    one seeker, neither diagonally dominant nor nonsingular by construction.
+    About one in five nonsingular draws has a negative seeker multiplier at
+    u* = A^-1 b, so the fallback has to search."""
+    n = int(rng.integers(2, n_max + 1))
+    is_player = rng.random(n) < 0.5
+    is_player[0], is_player[-1] = True, False
+    roles = tuple(
+        PlayerParams(alpha=1.0, beta=float(rng.uniform(0.5, 3.0)), a=float(rng.uniform(0.1, 1.0)))
+        if player else SeekerParams(gamma=float(rng.uniform(0.5, 4.0)))
+        for player in is_player
+    )
+    sysm = SystemMatrix(gamma=rng.uniform(0.0, 0.5, (n, n)), n0=rng.uniform(0.01, 0.1, n))
+    return assemble(sysm, ServicePartition(roles=roles))
+
+
 def farkas_certificate_checks(gh, bh, y) -> bool:
     """y >= 0 with Gh^T y = 0 (to 1e-9 relative) and bh . y > 0: then
     y . (Gh u) = 0 < y . bh for every u, so no u meets Gh u >= bh."""

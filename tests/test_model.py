@@ -66,9 +66,10 @@ class TestOsnr:
         assert osnr(u, sysm) == pytest.approx(want, rel=1e-13)
 
     def test_all_raises_at_first_nonpositive_denominator(self):
-        # channels 1 and 2 have no noise floor; a zero and a negative power
+        # channels 2 and 3 have no noise floor; a zero and a negative power
         # leave their OSNR denominators at 0 and -0.001. osnr gives NaN
-        # there, and verify raises at the first of them.
+        # there, and verify raises at the first of them: channel 2 in the
+        # message, array index 1 in exc.channel.
         sysm = SystemMatrix(gamma=np.diag([0.0, 0.0, 0.001]), n0=np.array([0.01, 0.0, 0.0]))
         part = ServicePartition(
             roles=(PlayerParams(1.0, 2.0, 0.01), SeekerParams(100.0), SeekerParams(100.0))
@@ -78,7 +79,7 @@ class TestOsnr:
             warnings.simplefilter("error")
             got = osnr(u, sysm)
         assert np.isnan(got[1:]).all()
-        with pytest.raises(EvaluationError, match="channel 1: non-positive") as exc:
+        with pytest.raises(EvaluationError, match="channel 2: non-positive") as exc:
             verify(u, assemble(sysm, part))
         assert exc.value.channel == 1
 

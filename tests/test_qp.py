@@ -5,8 +5,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from osnrgame import solve_dsnp, solve_qp
+from osnrgame import (
+    PlayerParams,
+    SeekerParams,
+    ServicePartition,
+    SystemMatrix,
+    assemble,
+    solve_dsnp,
+    solve_qp,
+)
+from osnrgame import qp as qp_mod
 from osnrgame.errors import InfeasibleError, UsageError
 from osnrgame.qp import (
     LeastResidual,
@@ -22,12 +33,51 @@ from helpers import (
     grid_minimum,
     random_dominant_instance,
     random_small_qp,
+    random_small_system,
 )
 
 
 def solve_arrays(gt, bt, gh, bh, on_step=None):
     qp = build_qp(gt, bt, gh, bh)
     return recover_primal(qp, solve_dual(qp, on_step=on_step))
+
+
+def forced_search(system):
+    """All three steps of the active-set method, whatever the system."""
+    qp = build_qp_from_stack(system)
+    return recover_primal(qp, solve_dual(qp))
+
+
+def dual_calls(monkeypatch, fail=False):
+    """Count the calls solve_qp makes to solve_dual; with fail, any call fails."""
+    calls, original = [], solve_dual
+
+    def counted(qp, on_step=None):
+        calls.append(qp)
+        assert not fail, "solve_dual ran"
+        return original(qp, on_step=on_step)
+
+    monkeypatch.setattr(qp_mod, "solve_dual", counted)
+    return calls
+
+
+# one player and two seekers, rounded from a random_small_system draw: the
+# multiplier of the first seeker row at u* = A^-1 b is -1.73
+NEGATIVE_MULTIPLIER = (
+    SystemMatrix(
+        gamma=np.array([[0.31, 0.39, 0.31], [0.46, 0.02, 0.26], [0.23, 0.03, 0.32]]),
+        n0=np.array([0.087, 0.063, 0.033]),
+    ),
+    ServicePartition(
+        roles=(PlayerParams(1.0, 2.6, 0.56), SeekerParams(2.29), SeekerParams(3.14))
+    ),
+)
+
+# the player row (0.01, 0.002) and the seeker row (-5, -1) are parallel
+SINGULAR = (
+    SystemMatrix(gamma=np.array([[0.001, 0.002], [0.0025, 0.001]]), n0=np.array([0.01, 0.01])),
+    ServicePartition(roles=(PlayerParams(1.0, 2.0, 0.01), SeekerParams(2000.0))),
+)
 
 
 class TestBuildQp:
@@ -269,3 +319,62 @@ class TestSolveQpOnStack:
             assert res.objective <= 1e-9 * scale
             assert res.primal_feasibility_violation <= 1e-9 * scale
             assert np.linalg.norm(res.u) <= np.linalg.norm(u_direct) + 1e-9
+
+
+class TestRoutes:
+    """A nonsingular system is certified at u* = A^-1 b when it can be; every
+    other system takes all three steps of the search."""
+
+    def test_certified_instance_skips_the_search(self, fixture_a, monkeypatch):
+        _, _, system = fixture_a
+        want = forced_search(system)
+        assert want.route == "active_set"
+        dual_calls(monkeypatch, fail=True)
+        res = solve_qp(system)
+        assert res.route == "kkt"
+        assert res.u == pytest.approx(want.u, rel=1e-12, abs=0.0)
+        assert res.u == pytest.approx(system.equality_solution(), rel=0.0, abs=0.0)
+        assert res.mu.tolist() == [0.0]
+        assert res.objective == pytest.approx(want.objective, abs=1e-15)
+
+    def test_negative_multiplier_takes_the_search(self, monkeypatch):
+        system = assemble(*NEGATIVE_MULTIPLIER)
+        u_star = system.equality_solution()
+        w = system.solve(2.0 * u_star, trans=1)
+        assert w[1] == pytest.approx(-1.73, abs=0.01) and w[2] > 0
+        want = forced_search(system)
+        calls = dual_calls(monkeypatch)
+        res = solve_qp(system)
+        assert len(calls) == 1
+        assert res.route == "active_set"
+        assert res.u == pytest.approx(want.u, rel=1e-12)
+        assert np.linalg.norm(res.u) < np.linalg.norm(u_star) - 0.1
+        assert res.primal_feasibility_violation < 1e-12
+        # the grid oracle on the objective, then on the norm over the optimal
+        # set {u* + N z : Gh (u* + N z) >= bh}, with N a basis of null(Gt)
+        qp = build_qp_from_stack(system)
+        gt, bt, gh, bh = qp.gamma_tilde, qp.b_tilde, qp.gamma_hat, qp.b_hat
+        scale = float(np.max(np.abs(res.u)))
+        assert res.objective <= grid_minimum(gt, bt, gh, bh, scale) + 1e-5
+        null = np.linalg.svd(gt)[2][gt.shape[0]:].T
+        shortest = grid_minimum(null, -u_star, gh @ null, bh - gh @ u_star, scale)
+        assert np.linalg.norm(res.u) <= shortest + 1e-5
+
+    def test_singular_system_takes_every_step(self, monkeypatch):
+        system = assemble(*SINGULAR)
+        assert not system.nonsingular
+        calls = dual_calls(monkeypatch)
+        res = solve_qp(system)
+        assert len(calls) == 1
+        assert res.route == "active_set"
+        assert res.objective == pytest.approx(0.05, abs=1e-6)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_search_on_small_nonsingular_systems(self, seed):
+        system = random_small_system(np.random.default_rng(seed))
+        if not system.nonsingular:
+            return
+        res, want = solve_qp(system), forced_search(system)
+        assert np.linalg.norm(res.u - want.u) <= 1e-9 * np.linalg.norm(want.u)
+        assert res.objective <= 1e-9 * float(np.max(np.abs(system.b)))

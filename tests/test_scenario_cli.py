@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import types
 import warnings
 
@@ -386,6 +387,57 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.endswith("}\n")
         assert isinstance(orjson.loads(out), dict)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           solver=st.sampled_from(["auto", "direct", "qp"]))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_matrix_reports_are_strict_json(self, seed, solver):
+        # a non-positive OSNR denominator or contradictory seeker rows exit 2
+        # with no report; every report written parses as strict JSON. The
+        # first channel is a player and the last a seeker, as the QP needs.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        players = [True, *(rng.random(n - 2) < 0.5), False]
+        doc = {
+            "matrix": {"gamma": rng.uniform(0.0, 0.5, (n, n)).tolist(),
+                       "n0": rng.uniform(0.01, 0.1, n).tolist()},
+            "partition": [
+                {"role": "player", "alpha": 1.0, "beta": float(rng.uniform(0.5, 3.0)),
+                 "a": float(rng.uniform(0.1, 1.0))}
+                if player else
+                {"role": "seeker", "target_osnr_db": float(rng.uniform(-3.0, 6.0))}
+                for player in players
+            ],
+            "run": {"solver": solver},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_doc(pathlib.Path(tmp), doc)
+            out = pathlib.Path(tmp) / "report.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # negative powers warn
+                code = main(["solve", path, "--out", str(out)])
+            assert code in (0, 2)
+            if code == 2:
+                assert not out.exists()
+                return
+            report = orjson.loads(out.read_bytes())
+        if report["path_taken"] == "qp":
+            assert report["solution"]["route"] in ("kkt", "active_set")
+
+    def test_non_positive_denominator_names_the_channel_from_one(self, tmp_path, capsys):
+        # the second player's power is driven to -111 mW, so its OSNR
+        # denominator n0 + (Gamma u)_2 is -44.4
+        doc = {
+            "matrix": {"gamma": [[0.1, 0.01], [1.0, 0.5]], "n0": [0.01, 0.01]},
+            "partition": [
+                {"role": "player", "alpha": 1.0, "beta": 10.0, "a": 1.0},
+                {"role": "player", "alpha": 1.0, "beta": 0.1, "a": 0.1},
+            ],
+            "run": {"solver": "direct"},
+        }
+        assert main(["solve", write_doc(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: channel 2: non-positive OSNR denominator -44.")
 
     def test_check_command(self, tmp_path, capsys):
         path = write_doc(tmp_path, FIXTURE_A_DOC)
