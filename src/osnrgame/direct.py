@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError
-from .model import ChannelSystem, PlayerParams, osnr, to_db
+from .model import ChannelSystem, osnr, to_db
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def verify(u: np.ndarray, system: ChannelSystem) -> Solution:
     raises EvaluationError at the first channel whose OSNR denominator is
     not positive."""
     u = np.asarray(u, dtype=float)
-    sys, roles = system.matrix, system.partition.roles
+    sys = system.matrix
     coupled = sys.gamma @ u
     osnr_vals = osnr(u, sys, coupled)
     bad = np.flatnonzero(np.isnan(osnr_vals))
@@ -100,7 +100,7 @@ def verify(u: np.ndarray, system: ChannelSystem) -> Solution:
         )
 
     p = system.is_player
-    targets = np.array([r.gamma for r in roles if not isinstance(r, PlayerParams)])
+    targets = system.partition.targets
     seeker_res = np.abs(osnr_vals[~p] - targets) / targets
     # a player row of A u is (Gamma u)_i with Gamma_ii swapped for a_i
     rows = coupled + (np.diag(system.A) - np.diag(sys.gamma)) * u
@@ -155,9 +155,8 @@ def power_bounds(system: ChannelSystem) -> BoundsReport:
         lower = float(b[~p].max() / (2.0 * diag[p].max()))
     upper = None
     if players:
-        upper = kappa * max(
-            r.beta / r.alpha for r in system.partition.roles if isinstance(r, PlayerParams)
-        )
+        alpha, beta, _ = system.partition.player_columns
+        upper = kappa * float(np.max(beta / alpha))
 
     return BoundsReport(
         preconditions_hold=pre,

@@ -64,6 +64,29 @@ class ServicePartition:
     def size(self) -> int:
         return len(self.roles)
 
+    @cached_property
+    def is_player(self) -> np.ndarray:
+        """True on each player's channel, in channel order."""
+        return _frozen(np.array([isinstance(r, PlayerParams) for r in self.roles], dtype=bool))
+
+    @cached_property
+    def player_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """alpha, beta and a of the players, in channel order."""
+        params = [(r.alpha, r.beta, r.a) for r in self.roles if isinstance(r, PlayerParams)]
+        return tuple(_frozen(col) for col in np.array(params, dtype=float).reshape(-1, 3).T)
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """The seekers' target OSNRs (linear), in channel order."""
+        return _frozen(np.array(
+            [r.gamma for r in self.roles if not isinstance(r, PlayerParams)], dtype=float
+        ))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False  # cached arrays must not change under their owner
+    return arr
+
 
 @dataclass(frozen=True)
 class ChannelSystem:
@@ -162,15 +185,16 @@ def assemble(sys: SystemMatrix, partition: ServicePartition) -> ChannelSystem:
         raise UsageError(
             f"partition covers {partition.size} channels, matrix has {n_ch}"
         )
-    g_ii = np.diag(sys.gamma)
-    # per channel: (row scale of Gamma, diagonal entry, right-hand side)
-    rows = [
-        (1.0, r.a, r.a * r.beta / r.alpha - sys.n0[i])
-        if isinstance(r, PlayerParams)
-        else (-r.gamma, 1.0 - r.gamma * g_ii[i], r.gamma * sys.n0[i])
-        for i, r in enumerate(partition.roles)
-    ]
-    scale, diag, b = (np.array(col, dtype=float) for col in zip(*rows))
+    p = partition.is_player
+    alpha, beta, a = partition.player_columns
+    target = partition.targets
+    g_ii, n0 = np.diag(sys.gamma), sys.n0
+    # per channel: the row scale of Gamma, the diagonal entry, the right-hand side
+    scale, diag, b = np.ones(n_ch), np.empty(n_ch), np.empty(n_ch)
+    with np.errstate(all="ignore"):  # an overflow is reported by the check below
+        scale[~p] = -target
+        diag[p], diag[~p] = a, 1.0 - target * g_ii[~p]
+        b[p], b[~p] = a * beta / alpha - n0[p], target * n0[~p]
     a_mat = scale[:, None] * sys.gamma
     a_mat[np.diag_indices(n_ch)] = diag
     # finite inputs can still overflow here, say a huge beta or target
@@ -178,7 +202,6 @@ def assemble(sys: SystemMatrix, partition: ServicePartition) -> ChannelSystem:
     if not finite.all():
         first = np.flatnonzero(~finite)[0] + 1
         raise ValidationError(f"channel {first}: its row of A u = b is not finite")
-    is_player = np.array([isinstance(r, PlayerParams) for r in partition.roles])
-    for arr in (a_mat, b, is_player):
+    for arr in (a_mat, b):
         arr.flags.writeable = False  # the cached factorization must stay valid
-    return ChannelSystem(A=a_mat, b=b, is_player=is_player, matrix=sys, partition=partition)
+    return ChannelSystem(A=a_mat, b=b, is_player=p, matrix=sys, partition=partition)

@@ -14,6 +14,7 @@ transmitter noise of 0.5% of a 1 mW reference input.
 from __future__ import annotations
 
 import functools
+import itertools
 import typing
 from dataclasses import dataclass, field, is_dataclass
 
@@ -134,34 +135,62 @@ _NUMBER_TYPES = (int, float, np.integer, np.floating)
 _JSON_NUMBERS = {float: frozenset({int, float}), int: frozenset({int})}
 
 
-def _checked(value, where: str, kind, array: bool = False):
-    """A JSON value for a field of type kind that holds an array when array
-    is set, with every array in it (at any depth) made a tuple. A float or
-    int field must hold numbers, integral ones for int (returned as int). A
-    dataclass field is built from its object; other kinds are left to the
-    class."""
+def _checked(value, where: str, kind, array=None):
+    """A JSON value for a field of type kind that holds an array of type
+    array (tuple or np.ndarray) when array is set. A list for an ndarray
+    field becomes one array; any other array (at any depth) becomes a tuple.
+    A float or int field must hold numbers, integral ones for int (returned
+    as int). A dataclass field is built from its object; other kinds are
+    left to the class."""
+    if array is np.ndarray and isinstance(value, list):
+        numbers = _number_array(value)
+        if numbers is not None:
+            return numbers
     if array and isinstance(value, list):
         if set(map(type, value)) <= _JSON_NUMBERS.get(kind, frozenset()):
             return tuple(value)
-        return tuple(_checked(v, where, kind, True) for v in value)
+        return tuple(_checked(v, where, kind, tuple) for v in value)
     if kind not in _NOUNS:
         return _build(kind, value, where) if is_dataclass(kind) else value
     if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES) or (
         kind is int and not float(value).is_integer()
     ):
-        raise ScenarioError(f"{where} must be {_NOUNS[kind][array]}, got {value!r}")
+        raise ScenarioError(f"{where} must be {_NOUNS[kind][bool(array)]}, got {value!r}")
     return int(value) if kind is int else value
+
+
+def _number_array(value: list) -> np.ndarray | None:
+    """The nested list of JSON numbers value as one array, or None when it
+    is irregular (ragged, or holding anything but numbers), which _checked
+    then words. np.array turns a bool among numbers into 0 or 1, so only
+    the rows holding a 0 or a 1 need their types checked."""
+    try:
+        arr = np.array(value)
+    except (ValueError, OverflowError):
+        return None
+    if arr.dtype.kind not in "fiu":  # bool, str, object (None, big ints)
+        return None
+    for index in np.argwhere(((arr == 0) | (arr == 1)).any(axis=-1)):
+        row = value
+        for i in index:
+            row = row[i]
+        if not set(map(type, row)) <= _JSON_NUMBERS[float]:
+            return None
+    return arr
 
 
 @functools.cache
 def _fields(cls) -> dict[str, tuple]:
     """From the annotations of cls, for each field: the type of its scalars,
-    whether it holds an array, and the value types that need no check."""
+    the array type that holds them (tuple or np.ndarray; None for a scalar),
+    and the value types that need no check."""
     kinds = {}
     for name, hint in typing.get_type_hints(cls).items():
-        array = False
+        array = None
         while hint is np.ndarray or typing.get_args(hint):  # unwrap X | None, tuple[X, ...]
-            array = array or hint is np.ndarray or typing.get_origin(hint) is tuple
+            container = np.ndarray if hint is np.ndarray else typing.get_origin(hint)
+            if array is None and container in (np.ndarray, tuple):
+                array = container
             hint = float if hint is np.ndarray else typing.get_args(hint)[0]
         kinds[name] = (hint, array, _JSON_NUMBERS.get(hint, frozenset()))
     return kinds
@@ -190,6 +219,34 @@ def _build(cls, obj, where: str, **given):
         return cls(**values)
     except TypeError as exc:  # every value is checked, so a required field is absent
         raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _build_many(cls, objs: list) -> list | None:
+    """cls from each JSON object of the list objs, with each field's column
+    checked once for the whole list; every __post_init__ still runs. None
+    when that is not enough: an entry is not an object or leaves out a
+    field, a value needs a check or a conversion, or cls rejects an entry.
+    The caller then takes the per-entry path, which words the first error."""
+    kinds = _fields(cls)
+    if not all(isinstance(obj, dict) for obj in objs):
+        return None
+    try:
+        columns = [[obj[name] for obj in objs] for name in kinds]
+    except KeyError:
+        return None
+    for k, (column, (_, array, plain)) in enumerate(zip(columns, kinds.values())):
+        if array:  # a flat list of numbers per entry, held as a tuple
+            if set(map(type, column)) != {list} or not set(
+                map(type, itertools.chain.from_iterable(column))
+            ) <= plain:
+                return None
+            columns[k] = list(map(tuple, column))
+        elif not set(map(type, column)) <= plain:
+            return None
+    try:
+        return list(itertools.starmap(cls, zip(*columns)))
+    except ValidationError:  # the per-entry path raises it for the first such entry
+        return None
 
 
 def _parse_span(obj, where: str) -> Span:
@@ -223,6 +280,26 @@ def _parse_role(obj, where: str) -> PlayerParams | SeekerParams:
     raise ScenarioError(f"{where}: role must be 'player' or 'seeker', got {role!r}")
 
 
+def _parse_partition(objs: list) -> tuple[PlayerParams | SeekerParams, ...]:
+    """The roles of the partition list in channel order: the players through
+    _build_many, the seekers from one checked column of targets. Any
+    irregular entry sends the list down the per-entry path, which words the
+    error of the first bad entry."""
+    if all(isinstance(obj, dict) and obj.get("role") in ("player", "seeker") for obj in objs):
+        is_player = [obj["role"] == "player" for obj in objs]
+        players = _build_many(PlayerParams, [o for o, p in zip(objs, is_player) if p])
+        targets = [o.get("target_osnr_db") for o, p in zip(objs, is_player) if not p]
+        if players is not None and set(map(type, targets)) <= _JSON_NUMBERS[float]:
+            try:
+                seekers = [SeekerParams(gamma=db_to_linear(t)) for t in targets]
+            except (OverflowError, ValidationError):
+                pass
+            else:
+                players, seekers = iter(players), iter(seekers)
+                return tuple(next(players) if p else next(seekers) for p in is_player)
+    return tuple(_parse_role(obj, f"partition[{k}]") for k, obj in enumerate(objs))
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         return _scenario_from_dict(doc)
@@ -252,21 +329,17 @@ def _scenario_from_dict(doc: dict) -> Scenario:
         center = _checked(net.get("center_nm", DEFAULT_CENTER_NM), "network.center_nm", float)
         spacing = _checked(net.get("spacing_nm", DEFAULT_SPACING_NM), "network.spacing_nm", float)
         grid = wavelength_grid(len(raw_channels), center_nm=center, spacing_nm=spacing)
-        all_links = [l.id for l in network.links]
-        channels = tuple(
-            _build(ChannelSpec, {
-                "id": k + 1, "wavelength_nm": grid[k], "tx_noise_mW": DEFAULT_TX_NOISE_MW,
-                "route": all_links, **_object(c, f"channels[{k}]"),
-            }, f"channels[{k}]")
-            for k, c in enumerate(raw_channels)
-        )
+        defaults = {"tx_noise_mW": DEFAULT_TX_NOISE_MW, "route": [l.id for l in network.links]}
+        objs = [{"id": k + 1, "wavelength_nm": grid[k], **defaults, **c} if isinstance(c, dict)
+                else c for k, c in enumerate(raw_channels)]
+        channels = tuple(_build_many(ChannelSpec, objs) or [
+            _build(ChannelSpec, c, f"channels[{k}]") for k, c in enumerate(objs)
+        ])
 
     raw_partition = doc.get("partition")
     if not raw_partition:
         raise ScenarioError("scenario requires a 'partition' list")
-    roles = tuple(
-        _parse_role(entry, f"partition[{k}]") for k, entry in enumerate(raw_partition)
-    )
+    roles = _parse_partition(raw_partition)
 
     limits = _object(doc.get("power_limits", {}), "power_limits")
     return Scenario(

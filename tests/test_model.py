@@ -176,6 +176,31 @@ class TestAssemble:
         with pytest.raises(ValidationError, match="^channel 2: its row of A u = b is not finite$"):
             assemble(sysm, ServicePartition(roles=(PlayerParams(1.0, 2.0, 0.01), role)))
 
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_per_role_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        sysm = SystemMatrix(gamma=rng.uniform(0.0, 1e-2, (n, n)), n0=rng.uniform(0.0, 1e-2, n))
+        roles = tuple(
+            PlayerParams(*rng.uniform(0.1, 3.0, 3)) if rng.random() < 0.5
+            else SeekerParams(gamma=float(rng.uniform(1.0, 300.0)))
+            for _ in range(n)
+        )
+        stack = assemble(sysm, ServicePartition(roles=roles))
+        # the row of each role, one role at a time
+        scale, diag, b = np.ones(n), np.empty(n), np.empty(n)
+        for i, r in enumerate(roles):
+            if isinstance(r, PlayerParams):
+                diag[i], b[i] = r.a, r.a * r.beta / r.alpha - sysm.n0[i]
+            else:
+                scale[i], diag[i] = -r.gamma, 1.0 - r.gamma * sysm.gamma[i, i]
+                b[i] = r.gamma * sysm.n0[i]
+        a_mat = scale[:, None] * sysm.gamma
+        a_mat[np.diag_indices(n)] = diag
+        assert stack.A.tobytes() == a_mat.tobytes() and stack.b.tobytes() == b.tobytes()
+        assert stack.is_player.tolist() == [isinstance(r, PlayerParams) for r in roles]
+
     def test_dimension_mismatch(self, fixture_a):
         sysm, _, _ = fixture_a
         part = ServicePartition(roles=(PlayerParams(1.0, 2.0, 0.01),))

@@ -19,7 +19,7 @@ from osnrgame import execute, load_scenario
 from osnrgame.cli import main
 from osnrgame.direct import Solution
 from osnrgame.errors import EvaluationError, InfeasibleError, ScenarioError
-from osnrgame.link import db_to_linear
+from osnrgame.link import ChannelSpec, GainProfile, Span, db_to_linear
 from osnrgame.qp import QpResult
 from osnrgame.run import emit
 from osnrgame.scenario import (
@@ -864,3 +864,183 @@ class TestSchemaParity:
         schema_validator.validate(doc)
         max_iter = scenario_from_dict(doc).run.max_iter
         assert max_iter == 100 and type(max_iter) is int
+
+
+def ten_channel_network():
+    """Ten channels on two links, five players then five seekers."""
+    return {
+        "network": {"links": [{"id": 1}, {"id": 2}]},
+        "channels": [{"id": k + 1, "route": [1, 2]} for k in range(10)],
+        "partition": ten_roles(),
+    }
+
+
+def ten_channel_matrix():
+    return {
+        "matrix": {"gamma": [[0.001] * 10 for _ in range(10)], "n0": [0.01] * 10},
+        "partition": ten_roles(),
+    }
+
+
+def ten_roles():
+    return ([{"role": "player", "alpha": 1.0, "beta": 2.0, "a": 0.01} for _ in range(5)]
+            + [{"role": "seeker", "target_osnr_db": 20.0} for _ in range(5)])
+
+
+def copy_of_fixture_a():
+    return json.loads(json.dumps(FIXTURE_A_DOC))
+
+
+def mutated(build, mutate):
+    """A document factory: build's document, changed in place by mutate."""
+
+    def apply():
+        doc = build()
+        mutate(doc)
+        return doc
+
+    return apply
+
+
+class TestParserMessages:
+    """The parser checks a list one column at a time and words an error per
+    entry; these are the messages of the per-entry parser, verbatim."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(mutated(copy_of_fixture_a,
+                                 lambda d: d["matrix"]["gamma"][0].__setitem__(1, True)),
+                         "matrix.gamma must be numbers, got True", id="gamma-true"),
+            pytest.param(mutated(copy_of_fixture_a,
+                                 lambda d: d["matrix"]["gamma"][0].__setitem__(1, "0.5")),
+                         "matrix.gamma must be numbers, got '0.5'", id="gamma-str"),
+            pytest.param(mutated(copy_of_fixture_a,
+                                 lambda d: d["matrix"]["gamma"][0].__setitem__(1, None)),
+                         "matrix.gamma must be numbers, got None", id="gamma-null"),
+            pytest.param(mutated(copy_of_fixture_a, lambda d: d["matrix"]["gamma"][1].pop()),
+                         "malformed scenario: setting an array element with a sequence. The "
+                         "requested array has an inhomogeneous shape after 1 dimensions. The "
+                         "detected shape was (2,) + inhomogeneous part.", id="gamma-ragged"),
+            pytest.param(mutated(copy_of_fixture_a,
+                                 lambda d: d["matrix"].update(gamma=[0.001, 0.002])),
+                         "gamma must be square", id="gamma-1d"),
+            pytest.param(mutated(copy_of_fixture_a, lambda d: d["matrix"].update(
+                gamma=[[[0.001, 0.002], [0.002, 0.001]]] * 2)),
+                         "gamma must be square", id="gamma-3d"),
+            pytest.param(mutated(copy_of_fixture_a,
+                                 lambda d: d["matrix"].update(n0=[0.01, False])),
+                         "matrix.n0 must be numbers, got False", id="n0-false"),
+            pytest.param(mutated(copy_of_fixture_a,
+                                 lambda d: d.update(run={"u0": [0.5, True]})),
+                         "run.u0 must be numbers, got True", id="u0-true"),
+            pytest.param(mutated(ten_channel_network, lambda d: d["channels"][5].update(id="6")),
+                         "channels[5].id must be an integer, got '6'", id="channel-id-str"),
+            pytest.param(mutated(ten_channel_network,
+                                 lambda d: d["channels"][5].update(route=["2"])),
+                         "channels[5].route must be integers, got '2'", id="route-str"),
+            pytest.param(mutated(ten_channel_network, lambda d: d["channels"].__setitem__(5, 5)),
+                         "channels[5] must be an object, got 5", id="channel-int"),
+            pytest.param(mutated(ten_channel_network,
+                                 lambda d: d["channels"][5].update(wavelength_nm=0)),
+                         "channel 6: wavelength_nm must be > 0", id="wavelength-zero"),
+            pytest.param(mutated(ten_channel_matrix, lambda d: d["partition"].__setitem__(
+                5, {"role": "player", "alpha": True, "beta": 2.0, "a": 0.01})),
+                         "partition[5].alpha must be a number, got True", id="alpha-bool"),
+            pytest.param(mutated(ten_channel_matrix,
+                                 lambda d: d["partition"][5].update(target_osnr_db="20")),
+                         "partition[5].target_osnr_db must be a number, got '20'",
+                         id="target-str"),
+            pytest.param(mutated(ten_channel_matrix,
+                                 lambda d: d["partition"][5].update(role="observer")),
+                         "partition[5]: role must be 'player' or 'seeker', got 'observer'",
+                         id="role-unknown"),
+            pytest.param(mutated(ten_channel_matrix, lambda d: d["partition"][3].pop("a")),
+                         "partition[3]: PlayerParams.__init__() missing 1 required positional "
+                         "argument: 'a'", id="player-without-a"),
+            pytest.param(mutated(ten_channel_matrix,
+                                 lambda d: d["partition"][5].pop("target_osnr_db")),
+                         "partition[5]: missing field 'target_osnr_db'",
+                         id="seeker-without-target"),
+            pytest.param(mutated(ten_channel_matrix,
+                                 lambda d: d["partition"][5].update(target_osnr_db=4000.0)),
+                         "partition[5].target_osnr_db is out of range, got 4000.0",
+                         id="target-overflows"),
+            pytest.param(mutated(ten_channel_matrix,
+                                 lambda d: d["partition"][5].update(target_osnr_db=-4000.0)),
+                         "gamma must be > 0", id="target-underflows"),
+            pytest.param(mutated(ten_channel_matrix, lambda d: d["partition"].__setitem__(5, 5)),
+                         "partition[5] must be an object, got 5", id="role-int"),
+            # the first bad entry is reported, whatever kind of error comes later
+            pytest.param(mutated(ten_channel_matrix, lambda d: (
+                d["partition"][3].update(alpha=0.0), d["partition"][4].update(alpha="1"))),
+                         "alpha must be > 0", id="range-error-before-type-error"),
+            pytest.param(mutated(ten_channel_matrix, lambda d: (
+                d["partition"][3].update(beta="2"), d["partition"][6].update(
+                    target_osnr_db=-4000.0))),
+                         "partition[3].beta must be a number, got '2'",
+                         id="player-type-error-before-seeker-range-error"),
+            pytest.param(mutated(ten_channel_matrix, lambda d: (
+                d["partition"][7].update(target_osnr_db=-4000.0), d["partition"][8].update(
+                    role="observer"))),
+                         "gamma must be > 0", id="seeker-range-error-before-unknown-role"),
+            pytest.param(mutated(ten_channel_matrix, lambda d: (
+                d["partition"].__setitem__(1, {"role": "seeker", "target_osnr_db": -4000.0}),
+                d["partition"][3].update(alpha=0.0))),
+                         "gamma must be > 0", id="seeker-range-error-before-player-range-error"),
+        ],
+    )
+    def test_message(self, build, message):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(build())
+        assert str(exc.value) == message
+
+    def test_tabulated_gain_and_routes_match_the_dataclasses(self):
+        table = [[1550.0, 20.0], [1555, 21.5], [1560.0, 19]]
+        doc = {
+            "network": {"links": [
+                {"id": 1, "spans": [{"gain": {"shape": "tabulated", "peak_gain_dB": 22.0,
+                                              "table": table}, "loss_dB": 20.0}]},
+                {"id": 2, "num_spans": 2},
+            ]},
+            "channels": [{"id": 7, "route": [2, 1]}, {}],
+            "partition": [{"role": "player", "alpha": 1.0, "beta": 2.0, "a": 0.01},
+                          {"role": "seeker", "target_osnr_db": 20.0}],
+        }
+        sc = scenario_from_dict(doc)
+        gain = GainProfile(shape="tabulated", peak_gain_dB=22.0,
+                           table=((1550.0, 20.0), (1555, 21.5), (1560.0, 19)))
+        assert sc.network.links[0].spans == (Span(gain_profile=gain, loss_dB=20.0),)
+        assert sc.network.links[1].spans == (Span(),) * 2
+        assert sc.channels == (
+            ChannelSpec(id=7, wavelength_nm=1554.5, tx_noise_mW=0.005, route=(2, 1)),
+            ChannelSpec(id=2, wavelength_nm=1555.5, tx_noise_mW=0.005, route=(1, 2)),
+        )
+        assert sc.system_matrix().gamma.shape == (2, 2)
+
+    @given(
+        rows=st.integers(min_value=1, max_value=5).flatmap(lambda n: st.lists(
+            st.lists(st.one_of(st.integers(min_value=0, max_value=2**53),
+                               st.sampled_from([0.0, 1.0]),
+                               st.floats(min_value=0.0, max_value=1e300)),
+                     min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )),
+        bad=st.sampled_from([True, False, "x", None]),
+        at=st.tuples(st.integers(min_value=0), st.integers(min_value=0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_gamma_is_one_float_array(self, rows, bad, at):
+        n = len(rows)
+        doc = {"matrix": {"gamma": rows, "n0": [0.01] * n},
+               "partition": [{"role": "seeker", "target_osnr_db": 20.0}] * n}
+        gamma = scenario_from_dict(doc).matrix.gamma
+        want = np.array(rows, dtype=float)
+        assert gamma.dtype == want.dtype and gamma.tobytes() == want.tobytes()
+        # one entry that is not a number is worded as the per-entry parser words it
+        i, j = at[0] % n, at[1] % n
+        doc["matrix"]["gamma"] = [list(row) for row in rows]
+        doc["matrix"]["gamma"][i][j] = bad
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value) == f"matrix.gamma must be numbers, got {bad!r}"
