@@ -67,7 +67,7 @@ def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
     """Evaluate the per-row dominance hypotheses and factorization-based
     nonsingularity of the system matrix. Always returns a report."""
     diag = np.diag(system.A)
-    off = np.abs(system.A).sum(axis=1) - np.abs(diag)
+    off = system.abs_row_sums - np.abs(diag)
     # a seeker row holds its condition gamma_i * sum_j Gamma_ij < 1 exactly
     # when 1 - gamma_i Gamma_ii beats its off-diagonal sum, a player row
     # when a_i does
@@ -144,11 +144,11 @@ def power_bounds(system: ChannelSystem) -> BoundsReport:
     players, seekers = system.m > 0, system.n > 0
     pre = True
     if players and seekers:
-        t_min = np.abs(a_mat[p]).sum(axis=1).min()
+        t_min = system.abs_row_sums[p].min()
         pre = bool(t_min > 2.0 * diag[~p].max() and b[p].min() > b[~p].max())
 
     inv = system.solve(np.eye(system.size))
-    kappa = float(np.linalg.norm(a_mat, np.inf) * np.linalg.norm(inv, np.inf))
+    kappa = float(system.abs_row_sums.max() * np.linalg.norm(inv, np.inf))
 
     lower = 0.0
     if seekers and players:

@@ -9,12 +9,13 @@ the update is one Jacobi sweep on the channel-ordered system A u = b.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, EvaluationError, NegativePowerError
+from .errors import ConvergenceError, DivergenceError, NegativePowerError
 from .model import ChannelSystem
 from .scenario import RunOptions
 
@@ -32,15 +33,6 @@ class IterationTrace:
     final: np.ndarray | None = None
 
 
-def _diagonal(system: ChannelSystem) -> np.ndarray:
-    diag = np.diag(system.A)
-    if np.any(diag == 0):
-        raise EvaluationError(
-            "singular update: a seeker's target times its self-coupling is 1"
-        )
-    return diag
-
-
 def step(u: np.ndarray, system: ChannelSystem) -> np.ndarray:
     """One synchronous update of every channel from the same power vector:
     a Jacobi sweep on A u = b.
@@ -50,14 +42,14 @@ def step(u: np.ndarray, system: ChannelSystem) -> np.ndarray:
     gamma_i (1/OSNR_i - Gamma_ii) u_i / (1 - gamma_i Gamma_ii).
     """
     u = np.asarray(u, dtype=float)
-    return u + (system.b - system.A @ u) / _diagonal(system)
+    return u + (system.b - system.A @ u) / system.diagonal
 
 
 def convergence_rate(system: ChannelSystem) -> float:
     """Worst-row contraction factor of the update map: the largest row sum
     of |D^-1 (A - D)| with D the diagonal of A."""
-    diag = np.abs(_diagonal(system))
-    return float(np.max((np.abs(system.A).sum(axis=1) - diag) / diag))
+    diag = np.abs(system.diagonal)
+    return float(np.max((system.abs_row_sums - diag) / diag))
 
 
 def run(
@@ -88,7 +80,7 @@ def run(
     trace = IterationTrace()
     u = options.initial_powers(system.size).copy()  # may be options.u0 itself
 
-    def record(vec: np.ndarray, step_idx: int):
+    def record(vec: np.ndarray, step_idx: int, negative: bool):
         trace.iterates.append(vec)  # step returns a new array each time
         if reference is not None:
             err = float(np.max(np.abs(vec - reference)))
@@ -98,25 +90,27 @@ def run(
                     err / prev if prev > eps_floor else None
                 )
             trace.error_history.append(err)
-        if np.any(vec < 0):
+        if negative:
             trace.negative_steps.append(step_idx)
             if options.strict_nonnegative:
                 raise NegativePowerError(
                     f"negative power at step {step_idx}", step=step_idx, u=vec
                 )
 
-    record(u, 0)
+    record(u, 0, bool(np.any(u < 0)))
     try:
         for k in range(1, options.max_iter + 1):
             u_next = step(u, system)
-            record(u_next, k)
-            if not np.all(np.isfinite(u_next)):
+            lo, hi = float(u_next.min()), float(u_next.max())
+            # a NaN minimum says nothing about the other entries' signs
+            record(u_next, k, lo < 0 or (math.isnan(lo) and bool(np.any(u_next < 0))))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
             if float(np.max(np.abs(u_next - u))) <= options.tol:
                 trace.converged_at = k
                 trace.final = u_next
                 return trace
-            if float(np.max(np.abs(u_next))) > DIVERGENCE_LIMIT_MW:
+            if max(hi, -lo) > DIVERGENCE_LIMIT_MW:
                 raise DivergenceError(f"iteration diverged at step {k}", trace=trace)
             u = u_next
         raise ConvergenceError(

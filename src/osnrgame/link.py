@@ -21,6 +21,9 @@ from .errors import EvaluationError, TopologyError, ValidationError
 
 PLANCK_J_S = 6.62607015e-34
 SPEED_OF_LIGHT_M_S = 299792458.0
+# a channel's ASE on a link (mW) under the square root of the smallest
+# normal float is summed apart, scaled into [0.5, 1)
+TINY_ASE_MW = float(np.sqrt(np.finfo(float).tiny))
 
 
 def db_to_linear(x_db: float) -> float:
@@ -189,26 +192,38 @@ class SystemMatrix:
         return self.gamma.shape[0]
 
 
-def _ase_mw(span: Span, wavelength_nm: np.ndarray, gain: np.ndarray, ids) -> np.ndarray:
-    """ASE power (mW) one amplifier adds into each channel's bandwidth.
+def _ase_mw(spans: tuple[Span, ...], wavelength_nm: np.ndarray, gain: np.ndarray,
+            ids) -> np.ndarray:
+    """ASE power (mW) each of a link's K amplifiers adds into each of N
+    channels' bandwidth, K x N; gain is K x N and linear.
 
     Uses 2 * nsp * h * nu * (G - 1) * B_o unless the span carries a fixed
     override. An attenuating "amplifier" (G < 1) contributes no ASE; one
-    warning gives the count of clamped channels and their first few ids.
+    warning per such span gives the count of clamped channels and their
+    first few ids.
     """
-    if span.ase.fixed_ase_mW is not None:
-        return np.full(wavelength_nm.shape, span.ase.fixed_ase_mW)
+    ase = np.empty(gain.shape)
+    phys = []
+    for k, span in enumerate(spans):
+        if span.ase.fixed_ase_mW is None:
+            phys.append(k)
+        else:
+            ase[k] = span.ase.fixed_ase_mW
+    if not phys:
+        return ase
+    gain = gain[phys]
     clamped = gain < 1.0
-    if np.any(clamped):
-        hit = np.flatnonzero(clamped)
-        shown = ", ".join(str(ids[k]) for k in hit[:5]) + (", ..." if len(hit) > 5 else "")
+    for row in clamped[clamped.any(axis=1)]:
+        hit = np.flatnonzero(row)
+        shown = ", ".join(str(ids[i]) for i in hit[:5]) + (", ..." if len(hit) > 5 else "")
         warnings.warn(f"amplifier gain < 1 for {len(hit)} channel(s) (ids {shown}), "
                       "clamping their ASE at 0", stacklevel=3)
+    nsp = np.array([spans[k].ase.nsp for k in phys])
+    bandwidth = np.array([spans[k].ase.optical_bandwidth_GHz for k in phys])
     nu = SPEED_OF_LIGHT_M_S / (wavelength_nm * 1e-9)
-    ase_w = 2.0 * span.ase.nsp * PLANCK_J_S * nu * (gain - 1.0) * (
-        span.ase.optical_bandwidth_GHz * 1e9
-    )
-    return np.where(clamped, 0.0, ase_w * 1e3)
+    ase_w = (2.0 * nsp * PLANCK_J_S)[:, None] * nu * (gain - 1.0) * (bandwidth * 1e9)[:, None]
+    ase[phys] = np.where(clamped, 0.0, ase_w * 1e3)
+    return ase
 
 
 def build_system_matrix(
@@ -220,12 +235,20 @@ def build_system_matrix(
         C_l = cumprod over spans of G_l * L_l   (K x N, gain * loss)
         W_l = ASE_l / (P_l * C_l)               (K x N, ASE and output power P_l in mW)
         T_l = C_l[-1]                           (N, whole-link transmission)
-    For the rows R of the channels sharing one route, at each link l of it
-    in order, with the |R| x N prefix starting at 1:
-        gamma[R] += prefix * (W_l[:, R].T @ C_l) * on_l
+        M_l = W_l.T @ (C_l * on_l)              (N x N)
+    on_l marks the channels routed over l. For the rows R of the channels
+    sharing one route, at each link l of it in order, with the |R| x N
+    prefix starting at 1:
+        gamma[R] += prefix * M_l[R]
         prefix[i, j] *= T_l[j] / T_l[i]
-    on_l marks the channels routed over l. Only routed links are evaluated,
-    at every wavelength, because the prefix needs T_l for every column.
+    Each span's row of C_l is first scaled by a power of two that puts its
+    largest entry under 1. That is exact and cancels in W_l C_l and in T_l's
+    ratios, and it keeps W_l out of the subnormal range when a tiny ASE
+    meets a large cumulative gain. A channel's ASE on a link under
+    TINY_ASE_MW is summed apart, scaled by a power of two, so that each
+    entry rounds into the subnormal range once. Only routed links are
+    evaluated, at every wavelength, because the prefix needs T_l for every
+    column.
     Warns once per span whose gain is < 1 for a channel routed through it.
     Bad channel lists (ValidationError) and unknown links (TopologyError)
     raise before any evaluation.
@@ -236,32 +259,54 @@ def build_system_matrix(
     ids = [c.id for c in channels]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate channel ids")
-    rows_by_route: dict[tuple[int, ...], list[int]] = {}
+    members: dict[tuple[int, ...], list[int]] = {}
     for i, c in enumerate(channels):
-        rows_by_route.setdefault(c.route, []).append(i)
+        members.setdefault(c.route, []).append(i)
+    rows_by_route = {route: np.array(rows) for route, rows in members.items()}
     links = {lid: network.link(lid) for route in rows_by_route for lid in route}
+    on = {lid: np.zeros(n, dtype=bool) for lid in links}
+    for route, rows in rows_by_route.items():
+        for lid in route:
+            on[lid][rows] = True
 
     wl = np.array([c.wavelength_nm for c in channels])
-    cum, weight, on = {}, {}, {}
+    id_of = np.array(ids, dtype=object)  # the ids as given, gathered per link
+    cum, ase = {}, {}
     for lid, link in links.items():
         gain = np.array([db_to_linear(s.gain_profile.gain_db(wl)) for s in link.spans])
         loss = db_to_linear(-np.array([s.loss_dB for s in link.spans]))
         c_l = np.cumprod(gain * loss[:, None], axis=0)
-        on[lid] = np.array([lid in c.route for c in channels])
+        cum[lid] = np.ldexp(c_l, -np.frexp(c_l.max(axis=1))[1][:, None])
         rows = np.flatnonzero(on[lid])
-        row_ids = [ids[i] for i in rows]
-        ase = np.zeros_like(c_l)
-        for k, span in enumerate(link.spans):
-            ase[k, rows] = _ase_mw(span, wl[rows], gain[k, rows], row_ids)
-        cum[lid], weight[lid] = c_l, ase / (link.output_power_mW * c_l)
+        ase[lid] = np.zeros_like(c_l)
+        ase[lid][:, rows] = _ase_mw(link.spans, wl[rows], gain[:, rows], id_of[rows])
 
-    gamma = np.zeros((n, n))
-    for route, rows in rows_by_route.items():
-        prefix = np.ones((len(rows), n))
-        for lid in route:
-            c_l = cum[lid]
-            gamma[rows] += prefix * (weight[lid][:, rows].T @ c_l) * on[lid]
-            prefix *= c_l[-1] / c_l[-1, rows][:, None]
+    def couple(ase: dict) -> np.ndarray:
+        coupling = {
+            lid: (ase[lid] / (link.output_power_mW * cum[lid])).T @ (cum[lid] * on[lid])
+            for lid, link in links.items()
+        }
+        gamma = np.zeros((n, n))
+        for route, rows in rows_by_route.items():
+            acc, prefix = coupling[route[0]][rows], 1.0
+            for prev, lid in zip(route, route[1:]):
+                t_prev = cum[prev][-1]
+                prefix = prefix * (t_prev / t_prev[rows][:, None])
+                acc += prefix * coupling[lid][rows]
+            gamma[rows] = acc
+        return gamma
 
+    top = {lid: a.max(axis=0) for lid, a in ase.items()}
+    tiny = {lid: (t > 0) & (t < TINY_ASE_MW) for lid, t in top.items()}
+    if not any(t.any() for t in tiny.values()):
+        gamma = couple(ase)
+    else:
+        # a channel's tiny ASE on a link goes into a second sum, scaled per
+        # channel into [0.5, 1): its weights and partial sums stay normal,
+        # and each entry rounds into the subnormal range once
+        shift = -np.frexp(np.max([np.where(tiny[l], top[l], 0.0) for l in ase], axis=0))[1]
+        normal = {l: np.where(tiny[l], 0.0, a) for l, a in ase.items()}
+        scaled = {l: np.ldexp(np.where(tiny[l], a, 0.0), shift) for l, a in ase.items()}
+        gamma = couple(normal) + np.ldexp(couple(scaled), -shift[:, None])
     n0 = np.array([c.tx_noise_mW for c in channels])
     return SystemMatrix(gamma=gamma, n0=n0)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularMatrixError, UsageError, ValidationError
+from .errors import EvaluationError, SingularMatrixError, UsageError, ValidationError
 from .link import SystemMatrix
 
 SINGULARITY_RTOL = 1e-12
@@ -99,7 +99,8 @@ class ChannelSystem:
     off it, b_i = gamma_i n0_i. The player and seeker blocks are the row
     selections A[is_player] and A[~is_player]. matrix and partition are the
     inputs the system was assembled from. A is factored at most once; the
-    factors are cached on the system.
+    factors are cached on the system, as are its diagonal and its absolute
+    row sums.
     """
 
     A: np.ndarray
@@ -121,10 +122,27 @@ class ChannelSystem:
         return self.size - self.m
 
     @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of A, the Jacobi update's divisor; raises
+        EvaluationError when an entry is 0."""
+        diag = np.diag(self.A)
+        if np.any(diag == 0):
+            raise EvaluationError(
+                "singular update: a seeker's target times its self-coupling is 1"
+            )
+        return diag
+
+    @cached_property
+    def abs_row_sums(self) -> np.ndarray:
+        """sum_j |A_ij| for each row i: the dominance conditions, the
+        contraction factor and the inf-norm of A all read it."""
+        return _frozen(np.abs(self.A).sum(axis=1))
+
+    @cached_property
     def _lu(self) -> tuple[tuple | None, float]:
         """LU factors of A, or None when the smallest pivot falls under the
         singularity threshold, and that pivot."""
-        norm = np.linalg.norm(self.A, np.inf)
+        norm = self.abs_row_sums.max()
         with warnings.catch_warnings():
             # singular input is diagnosed via the pivot test below
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 
@@ -231,4 +232,45 @@ def loop_coupling_matrix(network: LinkNetwork, channels: list[ChannelSpec]) -> n
             t_i = gi[-1]
             for j in range(n):
                 prefix[j] *= cum[(lid, j)][-1] / t_i
+    return gamma
+
+
+def exact_coupling_matrix(network: LinkNetwork, channels: list[ChannelSpec]) -> np.ndarray:
+    """loop_coupling_matrix's sum in exact rational arithmetic, rounded once.
+
+    The float gains, losses, per-span ASE powers and output powers are taken
+    as exact, and every product, ratio and sum over them is a Fraction, so
+    each entry is the nearest float to the model's value on those inputs,
+    subnormal entries included.
+    """
+    n = len(channels)
+    cum = {}  # (link id, channel index) -> cumulative gain * loss per span
+
+    def cumulative(link, j):
+        if (link.id, j) not in cum:
+            acc, out = Fraction(1), []
+            for span in link.spans:
+                acc *= Fraction(_loop_gain(span.gain_profile, channels[j].wavelength_nm))
+                acc *= Fraction(db_to_linear(-span.loss_dB))
+                out.append(acc)
+            cum[(link.id, j)] = out
+        return cum[(link.id, j)]
+
+    gamma = np.zeros((n, n))
+    for i, ci in enumerate(channels):
+        row = [Fraction(0)] * n
+        prefix = [Fraction(1)] * n
+        for lid in ci.route:
+            link = network.link(lid)
+            gi = cumulative(link, i)
+            power = Fraction(link.output_power_mW)
+            # span k's ASE in channel i's band, per unit of i's gain through k
+            weights = [Fraction(_loop_span_ase(span, ci)) / (power * g)
+                       for span, g in zip(link.spans, gi)]
+            for j, cj in enumerate(channels):
+                gj = cumulative(link, j)
+                if lid in cj.route:
+                    row[j] += prefix[j] * sum(w * g for w, g in zip(weights, gj))
+                prefix[j] *= gj[-1] / gi[-1]
+        gamma[i] = [float(x) for x in row]
     return gamma

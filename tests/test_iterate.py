@@ -260,6 +260,46 @@ class TestRun:
         assert len(exc.value.trace.iterates) == 2
         assert not np.all(np.isfinite(exc.value.trace.iterates[-1]))
 
+    def test_non_finite_iterate_with_a_negative_entry(self):
+        # channel 1 sums an overflowing +inf and -inf coupling into NaN while
+        # channel 4 turns negative: the step is still counted as negative
+        _, _, stack = make(
+            [[0.0, 10.0, 10.0, 0.0], [0.0] * 4, [0.0] * 4, [0.0] * 4], [0.01, 0.01, 0.01, 1.0],
+            [PlayerParams(1.0, 2.0, 1.0)] * 3 + [PlayerParams(1.0, 0.1, 1.0)],
+        )
+        cfg = RunOptions(u0=np.array([0.5, 1.7e308, -1.7e308, 0.0]), max_iter=10)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(UserWarning, match="1 iterates .* first at step 1"):
+            with pytest.raises(DivergenceError, match="non-finite iterate at step 1") as exc:
+                run(stack, cfg)
+        assert exc.value.trace.negative_steps == [0, 1]
+        last = exc.value.trace.iterates[-1]
+        assert np.isnan(last[0]) and last[3] < 0
+
+    def test_negative_blow_up_diverges(self):
+        # a negative iterate past -DIVERGENCE_LIMIT_MW stops the run too
+        _, _, stack = make(np.zeros((1, 1)), [1e10], [PlayerParams(1.0, 0.1, 1e-3)])
+        cfg = RunOptions(u0=np.array([0.5]), tol=1e-10)
+        with pytest.warns(UserWarning, match="first at step 1"):
+            with pytest.raises(DivergenceError, match="iteration diverged at step 1") as exc:
+                run(stack, cfg)
+        assert exc.value.trace.iterates[-1][0] < -1e12
+
+    def test_strict_nonnegative_aborts_at_first_negative_step(self):
+        # sigma > 1 around a positive fixed point: the swings grow until
+        # step 4 is the first with a negative power
+        _, _, stack = make(
+            [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
+            [PlayerParams(1.0, 100.0, 0.001), SeekerParams(600.0)],
+        )
+        cfg = RunOptions(u0=np.array([8.0, 42.0]), tol=1e-14, strict_nonnegative=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NegativePowerError, match="at step 4") as exc:
+                run(stack, cfg)
+        assert exc.value.step == 4
+        assert exc.value.u.min() < 0
+
     def test_strict_nonnegative_raises(self):
         _, _, stack = make(
             np.zeros((1, 1)), [0.01], [PlayerParams(1.0, 0.1, 0.001)]

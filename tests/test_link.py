@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osnrgame.link import (
@@ -18,7 +18,7 @@ from osnrgame.link import (
 )
 from osnrgame.errors import EvaluationError, TopologyError, ValidationError
 
-from helpers import loop_coupling_matrix
+from helpers import exact_coupling_matrix, loop_coupling_matrix
 
 PARABOLIC = GainProfile(shape="parabolic", peak_gain_dB=30.0, center_nm=1555.0,
                         curvature_dB_per_nm2=0.05)
@@ -42,10 +42,11 @@ def linear_gain(profile, wavelength_nm):
 
 
 def span_ase(span, ch):
-    """One channel's ASE from the array form build_system_matrix calls."""
+    """One channel's ASE from the per-link array form build_system_matrix
+    calls, on a link of this one span."""
     wl = np.array([ch.wavelength_nm])
-    gain = db_to_linear(span.gain_profile.gain_db(wl))
-    return float(_ase_mw(span, wl, gain, [ch.id])[0])
+    gain = db_to_linear(span.gain_profile.gain_db(wl))[None, :]
+    return float(_ase_mw((span,), wl, gain, [ch.id])[0, 0])
 
 
 class TestEvaluateGain:
@@ -216,6 +217,16 @@ class TestBuildSystemMatrix:
         scaled = build_system_matrix(network(base * scale), chans)
         assert scaled.gamma == pytest.approx(scale * ref.gamma, rel=1e-12, abs=1e-30)
 
+    @pytest.mark.parametrize("n_spans, ase_mw", [(6, 2.2e-308), (60, 1e-150)])
+    def test_tiny_ase_after_large_gain(self, n_spans, ase_mw):
+        # lossless 30 dB spans put C_l near 1e18 (6 spans) or 1e180 (60): an
+        # unscaled ASE / (P C_l) would fall deep into the subnormal range
+        span = Span(gain_profile=PARABOLIC, loss_dB=0.0, ase=AseParams(fixed_ase_mW=ase_mw))
+        net = LinkNetwork(links=(Link(id=1, spans=(span,) * n_spans, output_power_mW=1.0),))
+        chans = [channel(1, wl=1555.0), channel(2, wl=1557.0), channel(3, wl=1551.0)]
+        got = build_system_matrix(net, chans).gamma
+        np.testing.assert_allclose(got, exact_coupling_matrix(net, chans), rtol=1e-12, atol=0)
+
     def test_nonnegative_entries(self):
         net = LinkNetwork(links=(Link(id=1, spans=tuple(
             Span(gain_profile=PARABOLIC, loss_dB=25.0, ase=AseParams())
@@ -267,6 +278,30 @@ class TestBuildSystemMatrix:
         assert np.all(sysm.gamma[1:4, 1:] > 0.0)
         np.testing.assert_allclose(sysm.gamma, loop_coupling_matrix(net, chans),
                                    rtol=1e-12, atol=0)
+
+    def test_clamp_warnings_name_each_spans_channels(self):
+        # span 1 (centre 1551 nm) clamps channels 3-6, the fixed-ASE span
+        # warns about nothing, and span 3 (centre 1557.5 nm) clamps 1-4 and
+        # 6; channel 7 is routed over link 2 only and is never named
+        def attenuating(center_nm):
+            prof = GainProfile(shape="parabolic", peak_gain_dB=1.0, center_nm=center_nm,
+                               curvature_dB_per_nm2=1.0)
+            return Span(gain_profile=prof, loss_dB=1.0, ase=AseParams(nsp=1.5))
+
+        fixed = Span(gain_profile=GainProfile(shape="parabolic", peak_gain_dB=1.0,
+                                              curvature_dB_per_nm2=1.0),
+                     ase=AseParams(fixed_ase_mW=0.001))
+        net = LinkNetwork(links=(Link(id=1, spans=(attenuating(1551.0), fixed, attenuating(1557.5))),
+                                 Link(id=2, spans=(flat_span(),))))
+        chans = [channel(i + 1, wl=1550.0 + 2 * i) for i in range(6)]
+        chans.append(channel(7, wl=1540.0, route=(2,)))
+        with pytest.warns(UserWarning) as record:
+            build_system_matrix(net, chans)
+        assert [str(w.message) for w in record] == [
+            "amplifier gain < 1 for 4 channel(s) (ids 3, 4, 5, 6), clamping their ASE at 0",
+            "amplifier gain < 1 for 5 channel(s) (ids 1, 2, 3, 4, 6), clamping their ASE at 0",
+        ]
+        assert all(w.filename == __file__ for w in record)
 
 
 def _never_evaluated(self, wavelength_nm):
@@ -343,16 +378,54 @@ def routed_networks(draw):
     return LinkNetwork(links=links), chans
 
 
+_ZERO_ASE = AseParams(fixed_ase_mW=0.0)
+_FLAT = GainProfile(shape="flat", peak_gain_dB=5.0)
+# a subnormal fixed ASE whose true coupling entry is subnormal too
+_SUBNORMAL_ASE = (
+    LinkNetwork(links=(Link(id=1, output_power_mW=1.0, spans=(
+        Span(_FLAT, 5.0, _ZERO_ASE),
+        Span(_FLAT, 5.0, _ZERO_ASE),
+        Span(GainProfile(shape="parabolic", peak_gain_dB=6.25, center_nm=1540.0,
+                         curvature_dB_per_nm2=0.0),
+             5.0, AseParams(fixed_ase_mW=2.2250738585e-313)),
+    )),)),
+    [channel(100, wl=1530.0)],
+)
+# channel 100's row sums a normal ASE on link 3 with a subnormal one on link
+# 4; its entry for channel 101, which shares only link 4, is subnormal
+_SUBNORMAL_ON_ONE_LINK = (
+    LinkNetwork(links=(
+        Link(id=1, output_power_mW=1.0, spans=(Span(_FLAT, 5.0, _ZERO_ASE),)),
+        Link(id=2, output_power_mW=1.0, spans=(Span(_FLAT, 5.0, _ZERO_ASE),)),
+        Link(id=3, output_power_mW=1.0, spans=(
+            Span(_FLAT, 5.0, _ZERO_ASE),
+            Span(GainProfile(shape="parabolic", peak_gain_dB=5.0, center_nm=1540.0,
+                             curvature_dB_per_nm2=0.03125),
+                 5.0, AseParams(fixed_ase_mW=0.0078125)),
+        )),
+        Link(id=4, output_power_mW=4.0, spans=(
+            Span(_FLAT, 5.0, _ZERO_ASE),
+            Span(_FLAT, 5.0, AseParams(fixed_ase_mW=2.2250738585e-313)),
+        )),
+    )),
+    [channel(100, wl=1554.0, route=(3, 2, 4)), channel(101, wl=1531.0, route=(4,))],
+)
+
+
 class TestLoopOracle:
     @given(case=routed_networks())
+    @example(case=_SUBNORMAL_ASE)
+    @example(case=_SUBNORMAL_ON_ONE_LINK)
     @settings(max_examples=60, deadline=None)
     @pytest.mark.filterwarnings("ignore:amplifier gain < 1")
     def test_matches_loop(self, case):
+        # against the exact sum, not the loop's float one: where an entry is
+        # subnormal, no float sum can meet rtol, so one subnormal step is allowed
         net, chans = case
         got = build_system_matrix(net, chans).gamma
-        ref = loop_coupling_matrix(net, chans)
+        ref = exact_coupling_matrix(net, chans)
         np.testing.assert_array_equal(got == 0, ref == 0)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=np.finfo(float).smallest_subnormal)
 
 
 class TestTypeInvariants:
