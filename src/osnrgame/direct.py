@@ -9,7 +9,6 @@ system.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,7 @@ class Solution:
     osnr_db: np.ndarray
     seeker_residuals: np.ndarray  # relative |OSNR_i - gamma_i| / gamma_i
     player_foc_residuals: np.ndarray  # |a_i u_i + X_{-i} - a_i beta_i / alpha_i|
-    nonnegative: bool
+    nonnegative: bool  # False: the two-person nonnegativity condition on the price fails
 
 
 def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
@@ -84,10 +83,10 @@ def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
 
 
 def verify(u: np.ndarray, system: ChannelSystem) -> Solution:
-    """Package a power vector with its OSNR values and verification residuals
-    against the coupling matrix and roles the system was assembled from;
-    raises EvaluationError at the first channel whose OSNR denominator is
-    not positive."""
+    """Package a power vector with its OSNR values, verification residuals
+    against the coupling matrix and roles the system was assembled from, and
+    whether every power is nonnegative; raises EvaluationError at the first
+    channel whose OSNR denominator is not positive."""
     u = np.asarray(u, dtype=float)
     sys = system.matrix
     coupled = sys.gamma @ u
@@ -106,20 +105,13 @@ def verify(u: np.ndarray, system: ChannelSystem) -> Solution:
     rows = coupled + (np.diag(system.A) - np.diag(sys.gamma)) * u
     foc_res = np.abs(rows - system.b)[p]
 
-    nonnegative = bool(np.all(u >= 0))
-    if not nonnegative:
-        warnings.warn(
-            "direct solution has negative power components; the two-person "
-            "nonnegativity condition on the network price is not met",
-            stacklevel=2,
-        )
     return Solution(
         u=u,
         osnr=osnr_vals,
         osnr_db=to_db(osnr_vals),
         seeker_residuals=seeker_res,
         player_foc_residuals=foc_res,
-        nonnegative=nonnegative,
+        nonnegative=bool(np.all(u >= 0)),
     )
 
 

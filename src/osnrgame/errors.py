@@ -58,30 +58,26 @@ class InfeasibleError(NumericalError):
         self.certificate = certificate
 
 
-class ConvergenceError(NumericalError):
-    """An iterative method exhausted max_iter. Carries the last iterate/trace."""
-
-    def __init__(self, message, last=None, trace=None):
-        super().__init__(message)
-        self.last = last
-        self.trace = trace
-
-
-class DivergenceError(NumericalError):
-    """An iteration blew past the divergence guard or went non-finite. Carries the trace."""
+class IterationError(NumericalError):
+    """An iteration stopped without an answer. Carries the trace so far;
+    its last iterate is trace.iterates[-1]."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
 
 
-class NegativePowerError(NumericalError):
-    """Strict mode: an iterate produced a negative channel power."""
+class ConvergenceError(IterationError):
+    """An iterative method exhausted max_iter."""
 
-    def __init__(self, message, step=None, u=None):
-        super().__init__(message)
-        self.step = step
-        self.u = u
+
+class DivergenceError(IterationError):
+    """An iteration blew past the divergence guard or went non-finite."""
+
+
+class NegativePowerError(IterationError):
+    """Strict mode: an iterate produced a negative channel power. The trace
+    ends at that iterate, so its step is trace.negative_steps[-1]."""
 
 
 class OutputError(OsnrGameError):

@@ -10,7 +10,6 @@ the update is one Jacobi sweep on the channel-ordered system A u = b.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,9 +61,9 @@ def run(
 
     An iterate that is not finite, or whose largest power passes
     DIVERGENCE_LIMIT_MW, raises DivergenceError with the trace so far.
-    Negative iterates after the start are recorded in the trace and, unless
-    strict_nonnegative aborts at the first, reported by one warning at the
-    end of the run.
+    trace.negative_steps lists every step, the start included, whose iterate
+    has a negative power; with strict_nonnegative the first such step raises
+    NegativePowerError with the trace, which ends at that iterate.
 
     When a direct solution is supplied, the trace carries error norms
     against it and the observed per-step contraction ratios.
@@ -93,36 +92,23 @@ def run(
         if negative:
             trace.negative_steps.append(step_idx)
             if options.strict_nonnegative:
-                raise NegativePowerError(
-                    f"negative power at step {step_idx}", step=step_idx, u=vec
-                )
+                raise NegativePowerError(f"negative power at step {step_idx}", trace=trace)
 
     record(u, 0, bool(np.any(u < 0)))
-    try:
-        for k in range(1, options.max_iter + 1):
-            u_next = step(u, system)
-            lo, hi = float(u_next.min()), float(u_next.max())
-            # a NaN minimum says nothing about the other entries' signs
-            record(u_next, k, lo < 0 or (math.isnan(lo) and bool(np.any(u_next < 0))))
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
-            if float(np.max(np.abs(u_next - u))) <= options.tol:
-                trace.converged_at = k
-                trace.final = u_next
-                return trace
-            if max(hi, -lo) > DIVERGENCE_LIMIT_MW:
-                raise DivergenceError(f"iteration diverged at step {k}", trace=trace)
-            u = u_next
-        raise ConvergenceError(
-            f"no convergence to tol={options.tol} within {options.max_iter} steps",
-            last=u,
-            trace=trace,
-        )
-    finally:
-        negative = [k for k in trace.negative_steps if k > 0]
-        if negative and not options.strict_nonnegative:
-            warnings.warn(
-                f"{len(negative)} iterates had negative power components, "
-                f"the first at step {negative[0]}",
-                stacklevel=2,
-            )
+    for k in range(1, options.max_iter + 1):
+        u_next = step(u, system)
+        lo, hi = float(u_next.min()), float(u_next.max())
+        # a NaN minimum says nothing about the other entries' signs
+        record(u_next, k, lo < 0 or (math.isnan(lo) and bool(np.any(u_next < 0))))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
+        if float(np.max(np.abs(u_next - u))) <= options.tol:
+            trace.converged_at = k
+            trace.final = u_next
+            return trace
+        if max(hi, -lo) > DIVERGENCE_LIMIT_MW:
+            raise DivergenceError(f"iteration diverged at step {k}", trace=trace)
+        u = u_next
+    raise ConvergenceError(
+        f"no convergence to tol={options.tol} within {options.max_iter} steps", trace=trace
+    )

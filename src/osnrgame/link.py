@@ -176,6 +176,8 @@ class SystemMatrix:
         object.__setattr__(self, "n0", n0)
         if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1]:
             raise ValidationError("gamma must be square")
+        if gamma.shape[0] == 0:
+            raise ValidationError("gamma must cover at least one channel")
         if n0.shape != (gamma.shape[0],):
             raise ValidationError("n0 length must match gamma dimension")
         if not np.all(np.isfinite(gamma)):

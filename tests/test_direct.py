@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from osnrgame.direct import verify
 from osnrgame.errors import EvaluationError, SingularMatrixError
 from osnrgame.model import ChannelSystem
 
-from helpers import osnr_scalar, random_dominant_instance
+from helpers import osnr_scalar, random_dominant_instance, random_small_system
 
 
 def make(gamma, n0, roles):
@@ -118,13 +119,15 @@ class TestSolveDsnp:
         # player: u = beta/alpha - n0/a, seeker: u = gamma * n0
         assert sol.u == pytest.approx([2.0 - 1.0, 1.0], rel=1e-14)
 
-    def test_negative_solution_warns(self):
-        # undersized willingness to pay drives the player allocation negative
+    def test_negative_solution_recorded(self):
+        # undersized willingness to pay drives the player allocation negative;
+        # the solution records it and nothing is warned
         sysm, part, stack = make(
             np.zeros((1, 1)), [0.01],
             [PlayerParams(1.0, 0.5, 0.01)],
         )
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sol = solve_dsnp(stack)
         assert sol.u[0] == pytest.approx(-0.5, rel=1e-14)
         assert not sol.nonnegative
@@ -147,8 +150,8 @@ class TestSolveDsnp:
     def test_verify_osnr_db_nan_where_ratio_not_positive(self, fixture_a):
         # a negative power has a positive denominator but no OSNR in dB
         sysm, part, stack = fixture_a
-        with pytest.warns(UserWarning, match="negative power"):
-            sol = verify(np.array([-0.5, 1.0]), stack)
+        sol = verify(np.array([-0.5, 1.0]), stack)
+        assert not sol.nonnegative
         assert sol.osnr[0] < 0 and np.isnan(sol.osnr_db[0])
         assert sol.osnr_db[1] == pytest.approx(10 * np.log10(sol.osnr[1]), abs=1e-12)
 
@@ -168,6 +171,19 @@ class TestSolveDsnp:
             for i in np.flatnonzero(~p)
         ]
         assert sol.seeker_residuals == pytest.approx(want_seek, rel=1e-12)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_nonnegative_is_the_sign_of_every_power(self, seed):
+        # entries drawn from {small negative, -0.0, 0.0, positive}; a negative
+        # one is small enough that every OSNR denominator stays positive
+        rng = np.random.default_rng(seed)
+        system = random_small_system(rng)
+        u = rng.choice([-0.002, -0.0, 0.0, 1.0], system.size) * rng.uniform(0.5, 2.0, system.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = verify(u, system)
+        assert sol.nonnegative == bool(np.all(u >= 0))
 
 
 class TestSpecialCases:

@@ -19,6 +19,7 @@ from osnrgame.errors import (
     ConvergenceError,
     DivergenceError,
     EvaluationError,
+    IterationError,
     NegativePowerError,
     ScenarioError,
     ValidationError,
@@ -27,7 +28,7 @@ from osnrgame.iterate import run, step
 from osnrgame.model import to_db
 from osnrgame.scenario import RunOptions
 
-from helpers import osnr_db_scalar, osnr_scalar
+from helpers import osnr_db_scalar, osnr_scalar, random_small_system
 
 
 def make(gamma, n0, roles):
@@ -234,8 +235,9 @@ class TestRun:
         cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=3)
         with pytest.raises(ConvergenceError) as exc:
             run(stack, cfg)
-        assert exc.value.last is not None
         assert len(exc.value.trace.iterates) == 4
+        assert exc.value.trace.converged_at is None
+        assert np.all(np.isfinite(exc.value.trace.iterates[-1]))
 
     def test_divergence(self):
         # both seeker gains exceed one: multiplicative blow-up
@@ -251,13 +253,14 @@ class TestRun:
 
     def test_non_finite_iterate_raises_at_once(self, fixture_a):
         # a finite start near the float maximum overflows the first update
-        # to -inf, which the end-of-run warning counts as negative
+        # to -inf, which the trace counts as negative
         _, _, stack = fixture_a
         cfg = RunOptions(u0=np.array([1.7e308, 1.7e308]), tol=1e-10, max_iter=10000)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.warns(UserWarning):
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="non-finite iterate at step 1") as exc:
                 run(stack, cfg)
         assert len(exc.value.trace.iterates) == 2
+        assert exc.value.trace.negative_steps == [1]
         assert not np.all(np.isfinite(exc.value.trace.iterates[-1]))
 
     def test_non_finite_iterate_with_a_negative_entry(self):
@@ -268,8 +271,7 @@ class TestRun:
             [PlayerParams(1.0, 2.0, 1.0)] * 3 + [PlayerParams(1.0, 0.1, 1.0)],
         )
         cfg = RunOptions(u0=np.array([0.5, 1.7e308, -1.7e308, 0.0]), max_iter=10)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.warns(UserWarning, match="1 iterates .* first at step 1"):
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="non-finite iterate at step 1") as exc:
                 run(stack, cfg)
         assert exc.value.trace.negative_steps == [0, 1]
@@ -280,9 +282,9 @@ class TestRun:
         # a negative iterate past -DIVERGENCE_LIMIT_MW stops the run too
         _, _, stack = make(np.zeros((1, 1)), [1e10], [PlayerParams(1.0, 0.1, 1e-3)])
         cfg = RunOptions(u0=np.array([0.5]), tol=1e-10)
-        with pytest.warns(UserWarning, match="first at step 1"):
-            with pytest.raises(DivergenceError, match="iteration diverged at step 1") as exc:
-                run(stack, cfg)
+        with pytest.raises(DivergenceError, match="iteration diverged at step 1") as exc:
+            run(stack, cfg)
+        assert exc.value.trace.negative_steps == [1]
         assert exc.value.trace.iterates[-1][0] < -1e12
 
     def test_strict_nonnegative_aborts_at_first_negative_step(self):
@@ -297,8 +299,9 @@ class TestRun:
             warnings.simplefilter("error")
             with pytest.raises(NegativePowerError, match="at step 4") as exc:
                 run(stack, cfg)
-        assert exc.value.step == 4
-        assert exc.value.u.min() < 0
+        assert exc.value.trace.negative_steps == [4]
+        assert exc.value.trace.iterates[-1].min() < 0
+        assert len(exc.value.trace.iterates) == 5
 
     def test_strict_nonnegative_raises(self):
         _, _, stack = make(
@@ -309,36 +312,33 @@ class TestRun:
         )
         with pytest.raises(NegativePowerError) as exc:
             run(stack, cfg)
-        assert exc.value.step == 1
-        assert exc.value.u[0] < 0
+        assert exc.value.trace.negative_steps[-1] == 1
+        assert exc.value.trace.iterates[-1][0] < 0
 
-    def test_negative_step_recorded_and_warned(self):
+    def test_negative_steps_recorded(self):
         _, _, stack = make(
             np.zeros((1, 1)), [0.01], [PlayerParams(1.0, 0.1, 0.001)]
         )
         cfg = RunOptions(u0=np.array([0.5]), tol=1e-10)
-        with pytest.warns(UserWarning) as caught:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the trace is the one record
             trace = run(stack, cfg)
+        assert trace.converged_at is not None
         assert trace.negative_steps == [1, 2]
-        # one warning per run: the count and the first step
-        assert len(caught) == 1
-        assert "2 iterates" in str(caught[0].message)
-        assert "first at step 1" in str(caught[0].message)
 
-    def test_negative_warning_once_on_failed_run(self):
+    def test_negative_steps_on_failed_run(self):
         # sigma = 3: the iterates swing in sign as they grow
         _, _, stack = make(
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [PlayerParams(1.0, 0.1, 0.001), SeekerParams(600.0)],
         )
         cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=6)
-        with pytest.warns(UserWarning) as caught:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ConvergenceError) as exc:
                 run(stack, cfg)
-        negative = [k for k in exc.value.trace.negative_steps if k > 0]
-        assert len(negative) > 1
-        assert len(caught) == 1
-        assert f"{len(negative)} iterates" in str(caught[0].message)
+        # step 4 is the one positive iterate after the start
+        assert exc.value.trace.negative_steps == [1, 2, 3, 5, 6]
 
     def test_zero_start_converges_silently(self, fixture_a):
         sysm, part, stack = fixture_a
@@ -367,6 +367,43 @@ class TestRun:
         _, _, stack = fixture_a
         with pytest.raises(ScenarioError, match="3 entries for 2 channels"):
             run(stack, RunOptions(u0=np.array([0.5, 0.5, 0.5])))
+
+
+def drawn_run(seed):
+    """Run from a random start with negative entries on a random small
+    system, which may converge, hit its cap, diverge or (strict) abort;
+    returns the outcome and the trace."""
+    rng = np.random.default_rng(seed)
+    system = random_small_system(rng)
+    options = RunOptions(
+        u0=rng.uniform(-0.5, 2.0, system.size), tol=1e-9,
+        max_iter=int(rng.integers(1, 200)), strict_nonnegative=bool(rng.random() < 0.3),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the trace is the one record of negative powers
+        try:
+            return "converged", run(system, options)
+        except IterationError as exc:
+            return type(exc).__name__, exc.trace
+
+
+class TestNegativeSteps:
+    """trace.negative_steps lists exactly the steps, the start included,
+    whose iterate has a negative entry, however the run ends."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_lists_exactly_the_negative_iterates(self, seed):
+        _, trace = drawn_run(seed)
+        assert trace.negative_steps == [
+            k for k, u in enumerate(trace.iterates) if np.any(u < 0)
+        ]
+
+    def test_draws_reach_every_outcome(self):
+        outcomes = {drawn_run(seed)[0] for seed in range(40)}
+        assert outcomes == {
+            "converged", "ConvergenceError", "DivergenceError", "NegativePowerError"
+        }
 
 
 class TestTraceOsnr:

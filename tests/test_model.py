@@ -207,6 +207,12 @@ class TestAssemble:
         with pytest.raises(UsageError):
             assemble(sysm, part)
 
+    def test_zero_channels_rejected_at_construction(self):
+        # no system is assembled, so no reduction meets an empty array later
+        with pytest.raises(ValidationError, match="at least one channel"):
+            assemble(SystemMatrix(gamma=np.zeros((0, 0)), n0=np.zeros(0)),
+                     ServicePartition(roles=()))
+
     def test_seeker_rows_encode_target(self, fixture_a):
         # any u solving the seeker rows exactly hits the target ratio
         sysm, part, stack = fixture_a

@@ -52,6 +52,13 @@ NO_OSNR_DOC = {
     "run": {"solver": "direct"},
 }
 
+# one player whose price is too high for its willingness to pay: the
+# two-person nonnegativity condition fails and u = -0.5 mW
+NEGATIVE_DOC = {
+    "matrix": {"gamma": [[0.0]], "n0": [0.01]},
+    "partition": [{"role": "player", "alpha": 1.0, "beta": 0.5, "a": 0.01}],
+}
+
 # player row (0.01, 0.002) and seeker row (-5, -1) are parallel: the
 # stacked matrix is exactly singular and auto routing must fall back
 SINGULAR_DOC = {
@@ -374,7 +381,7 @@ class TestCli:
     def test_report_without_osnr_is_strict_json(self, tmp_path, capsys):
         path = write_doc(tmp_path, NO_OSNR_DOC)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the negative power is also a UserWarning
+            warnings.simplefilter("error")  # the report is the one record of the negative power
             assert main(["solve", path]) == 0
         doc = orjson.loads(capsys.readouterr().out)  # strict: no NaN token
         assert doc["solution"]["u"][1] < 0
@@ -414,7 +421,7 @@ class TestCli:
             path = write_doc(pathlib.Path(tmp), doc)
             out = pathlib.Path(tmp) / "report.json"
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # negative powers warn
+                warnings.simplefilter("error")  # negative powers are reported, not warned
                 code = main(["solve", path, "--out", str(out)])
             assert code in (0, 2)
             if code == 2:
@@ -513,6 +520,28 @@ class TestCli:
         assert doc["path_taken"] == "direct"
         assert doc["trace"]["converged_at"] is not None
         assert doc["trace"]["negative_steps"] == []
+
+    def test_negative_powers_are_reported_not_warned(self, tmp_path):
+        # three passes in one long-lived process: a warning would reach stderr
+        # at least once, and again on each pass the registry is reset
+        path = write_doc(tmp_path, NEGATIVE_DOC)
+        script = ("import sys\n"
+                  "from osnrgame import emit, execute, load_scenario\n"
+                  "scenario = load_scenario(sys.argv[1])\n"
+                  "for k in range(3):\n"
+                  "    emit(execute(scenario), out_path=f'report{k}.json')\n")
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-c", script, path],
+            cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        for k in range(3):
+            doc = orjson.loads((tmp_path / f"report{k}.json").read_bytes())
+            assert doc["path_taken"] == "direct"
+            assert doc["solution"]["u"] == pytest.approx([-0.5], rel=1e-14)
+            assert doc["solution"]["nonnegative"] is False
+            assert doc["trace"]["negative_steps"] == [1, 2]
 
     @pytest.mark.parametrize(
         "argv",
