@@ -65,7 +65,7 @@ class Solution:
 def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
     """Evaluate the per-row dominance hypotheses and factorization-based
     nonsingularity of the system matrix. Always returns a report."""
-    diag = np.diag(system.A)
+    diag = system.diagonal
     off = system.abs_row_sums - np.abs(diag)
     # a seeker row holds its condition gamma_i * sum_j Gamma_ij < 1 exactly
     # when 1 - gamma_i Gamma_ii beats its off-diagonal sum, a player row
@@ -102,7 +102,7 @@ def verify(u: np.ndarray, system: ChannelSystem) -> Solution:
     targets = system.partition.targets
     seeker_res = np.abs(osnr_vals[~p] - targets) / targets
     # a player row of A u is (Gamma u)_i with Gamma_ii swapped for a_i
-    rows = coupled + (np.diag(system.A) - np.diag(sys.gamma)) * u
+    rows = coupled + (system.diagonal - np.diag(sys.gamma)) * u
     foc_res = np.abs(rows - system.b)[p]
 
     return Solution(
@@ -131,8 +131,7 @@ def power_bounds(system: ChannelSystem) -> BoundsReport:
     seeker ones for the bracket to be guaranteed; the report always carries
     the numbers. The inverse comes from the cached factors, so kappa is exact.
     """
-    a_mat, b, p = system.A, system.b, system.is_player
-    diag = np.diag(a_mat)
+    b, p, diag = system.b, system.is_player, system.diagonal
     players, seekers = system.m > 0, system.n > 0
     pre = True
     if players and seekers:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, NegativePowerError
+from .errors import ConvergenceError, DivergenceError, EvaluationError, NegativePowerError
 from .model import ChannelSystem
 from .scenario import RunOptions
 
@@ -38,16 +38,22 @@ def step(u: np.ndarray, system: ChannelSystem) -> np.ndarray:
 
     Row by row this is the measured-OSNR update: a player moves to
     beta_i/alpha_i - (1/OSNR_i - Gamma_ii) u_i / a_i, a seeker to
-    gamma_i (1/OSNR_i - Gamma_ii) u_i / (1 - gamma_i Gamma_ii).
+    gamma_i (1/OSNR_i - Gamma_ii) u_i / (1 - gamma_i Gamma_ii). A 0 divisor
+    leaves the update undefined and raises EvaluationError.
     """
+    if not system.diagonal.all():
+        raise EvaluationError("singular update: a seeker's target times its self-coupling is 1")
     u = np.asarray(u, dtype=float)
     return u + (system.b - system.A @ u) / system.diagonal
 
 
 def convergence_rate(system: ChannelSystem) -> float:
     """Worst-row contraction factor of the update map: the largest row sum
-    of |D^-1 (A - D)| with D the diagonal of A."""
+    of |D^-1 (A - D)| with D the diagonal of A; inf when D has a 0, because
+    the update is then undefined and nothing contracts."""
     diag = np.abs(system.diagonal)
+    if not diag.all():
+        return math.inf
     return float(np.max((system.abs_row_sums - diag) / diag))
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import EvaluationError, SingularMatrixError, UsageError, ValidationError
+from .errors import SingularMatrixError, UsageError, ValidationError
 from .link import SystemMatrix
 
 SINGULARITY_RTOL = 1e-12
@@ -123,14 +123,9 @@ class ChannelSystem:
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        """The diagonal of A, the Jacobi update's divisor; raises
-        EvaluationError when an entry is 0."""
-        diag = np.diag(self.A)
-        if np.any(diag == 0):
-            raise EvaluationError(
-                "singular update: a seeker's target times its self-coupling is 1"
-            )
-        return diag
+        """The diagonal of A: a_i on a player's row, 1 - gamma_i Gamma_ii on
+        a seeker's."""
+        return _frozen(np.diag(self.A))
 
     @cached_property
     def abs_row_sums(self) -> np.ndarray:
@@ -156,21 +151,16 @@ class ChannelSystem:
     def nonsingular(self) -> bool:
         return self._lu[0] is not None
 
-    def lu(self) -> tuple:
-        """The LU factors of A; raises SingularMatrixError when A is
-        numerically singular."""
+    def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        """A x = rhs (trans=1: A^T x = rhs) on the cached LU factors; raises
+        SingularMatrixError when A is numerically singular."""
         factors, smallest = self._lu
         if factors is None:
             raise SingularMatrixError(
                 f"system matrix is numerically singular (smallest pivot {smallest:.3e})",
                 smallest_pivot=smallest,
             )
-        return factors
-
-    def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        """A x = rhs (trans=1: A^T x = rhs) on the cached LU factors; raises
-        SingularMatrixError when A is numerically singular."""
-        return scipy.linalg.lu_solve(self.lu(), rhs, trans=trans)
+        return scipy.linalg.lu_solve(factors, rhs, trans=trans)
 
     def equality_solution(self) -> np.ndarray:
         """u* = A^-1 b, with one step of iterative refinement to keep the

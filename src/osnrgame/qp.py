@@ -197,7 +197,9 @@ def _result(qp: QpProblem, mu: np.ndarray, u: np.ndarray, route: str) -> QpResul
 
 def solve_qp(system: ChannelSystem) -> QpResult:
     """Certify u* = A^-1 b on the cached factors, or search through all
-    three steps."""
+    three steps. A singular A with one class empty raises SingularMatrixError."""
+    if not (system.nonsingular or system.m and system.n):
+        system.solve(system.b)  # no fallback problem: raises
     qp = build_qp_from_stack(system)
     if system.nonsingular:
         u = system.equality_solution()

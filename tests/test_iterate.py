@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osnrgame import (
@@ -11,6 +12,7 @@ from osnrgame import (
     ServicePartition,
     SystemMatrix,
     assemble,
+    check_feasibility,
     convergence_rate,
     osnr,
     solve_dsnp,
@@ -35,6 +37,15 @@ def make(gamma, n0, roles):
     sysm = SystemMatrix(gamma=np.asarray(gamma, float), n0=np.asarray(n0, float))
     part = ServicePartition(roles=tuple(roles))
     return sysm, part, assemble(sysm, part)
+
+
+def zero_diagonal_system():
+    """Fixture A with a 1000x seeker: its target times its self-coupling is
+    1, so A has a 0 on its diagonal, yet det A = 0.004."""
+    return make(
+        [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
+        [PlayerParams(1.0, 2.0, 0.01), SeekerParams(1000.0)],
+    )[2]
 
 
 def player_update(u_i, inv_osnr, gamma_ii, beta_over_alpha, a):
@@ -193,12 +204,23 @@ class TestConvergenceRate:
         assert convergence_rate(stack) == pytest.approx(1.0, rel=1e-14)
 
     def test_singular_rate(self):
-        _, _, stack = make(
-            [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
-            [PlayerParams(1.0, 2.0, 0.01), SeekerParams(1000.0)],
+        # a zero diagonal entry leaves the update undefined: nothing contracts
+        assert convergence_rate(zero_diagonal_system()) == math.inf
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @example(seed=None)  # the zero-diagonal system
+    @settings(max_examples=100, deadline=None)
+    def test_rate_under_one_exactly_when_dominant(self, seed):
+        stack = (zero_diagonal_system() if seed is None
+                 else random_small_system(np.random.default_rng(seed)))
+        assert check_feasibility(stack).strictly_diagonally_dominant == (
+            convergence_rate(stack) < 1.0
         )
-        with pytest.raises(EvaluationError):
-            convergence_rate(stack)
+
+    def test_draws_reach_both_outcomes(self):
+        rates = [convergence_rate(random_small_system(np.random.default_rng(seed)))
+                 for seed in range(40)]
+        assert min(rates) < 1.0 < max(rates)
 
 
 class TestRun:

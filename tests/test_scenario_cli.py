@@ -69,6 +69,29 @@ SINGULAR_DOC = {
     ],
 }
 
+# a 30 dB seeker on fixture A's matrix: its target times its self-coupling
+# is 1, so A has a 0 on its diagonal, yet det A = 0.004 and u = (-5, 30)
+ZERO_DIAGONAL_DOC = {
+    "matrix": {"gamma": [[0.001, 0.002], [0.002, 0.001]], "n0": [0.01, 0.01]},
+    "partition": [
+        {"role": "player", "alpha": 1.0, "beta": 2.0, "a": 0.01},
+        {"role": "seeker", "target_osnr_db": 30.0},
+    ],
+}
+
+# numerically singular with one service class: the fallback has no
+# objective (all seekers) or no constraint (all players)
+ONE_CLASS_SINGULAR_DOCS = {
+    "players": {
+        "matrix": {"gamma": [[0.0, 1.0], [1.0, 0.0]], "n0": [0.1, 0.1]},
+        "partition": [{"role": "player", "alpha": 1.0, "beta": 1.0, "a": 1.0}] * 2,
+    },
+    "seekers": {
+        "matrix": {"gamma": [[0.5, 0.5], [0.5, 0.5]], "n0": [0.1, 0.1]},
+        "partition": [{"role": "seeker", "target_osnr_db": 0.0}] * 2,
+    },
+}
+
 # two links; channel 1 crosses both, channel 2 only the one-span link 2
 NETWORK_DOC = {
     "network": {"links": [{"id": 1, "num_spans": 2}, {"id": 2, "spans": [{"loss_dB": 20.0}]}]},
@@ -487,6 +510,40 @@ class TestCli:
             "run": {"solver": "iterative"},
         }
         assert main(["solve", write_doc(tmp_path, doc)]) == 2
+
+    def test_zero_diagonal_solve_reports_the_direct_answer(self, tmp_path, capsys):
+        # the update is undefined, so sigma is null and nothing is cross-checked
+        assert main(["solve", write_doc(tmp_path, ZERO_DIAGONAL_DOC)]) == 0
+        out = capsys.readouterr().out
+        doc = {**ZERO_DIAGONAL_DOC, "run": {"solver": "direct"}}
+        assert main(["solve", write_doc(tmp_path, doc, "direct.json")]) == 0
+        assert capsys.readouterr().out == out
+        report = orjson.loads(out)
+        assert report["path_taken"] == "direct"
+        assert report["sigma"] is None and report["trace"] is None
+        assert report["solution"]["u"] == pytest.approx([-5.0, 30.0], rel=1e-12)
+
+    def test_zero_diagonal_iterate_is_a_numerical_failure(self, tmp_path, capsys):
+        assert main(["iterate", write_doc(tmp_path, ZERO_DIAGONAL_DOC)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: singular update: a seeker's target times its self-coupling is 1\n"
+        )
+
+    @pytest.mark.parametrize("solver", ["auto", "direct", "qp"])
+    @pytest.mark.parametrize("name", sorted(ONE_CLASS_SINGULAR_DOCS))
+    def test_one_class_singular_is_a_numerical_failure(self, name, solver, tmp_path, capsys):
+        doc = {**ONE_CLASS_SINGULAR_DOCS[name], "run": {"solver": solver}}
+        assert main(["solve", write_doc(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: system matrix is numerically singular (smallest pivot 0.000e+00)\n"
+        )
+
+    @pytest.mark.parametrize("name", sorted(ONE_CLASS_SINGULAR_DOCS))
+    def test_one_class_singular_check_has_no_bounds(self, name, tmp_path, capsys):
+        assert main(["check", write_doc(tmp_path, ONE_CLASS_SINGULAR_DOCS[name])]) == 0
+        report = orjson.loads(capsys.readouterr().out)
+        assert report["bounds"] is None
+        assert report["feasibility"]["nonsingular"] is False
 
     def test_output_failure_exit_code(self, tmp_path, capsys):
         path = write_doc(tmp_path, FIXTURE_A_DOC)
