@@ -1,7 +1,9 @@
 """Least-squares fallback for target sets the equality system cannot meet.
 
 Minimizes the player residual ||Gt u - bt|| subject to the seeker rows
-Gh u >= bh and returns the minimum-norm minimizer.
+Gh u >= bh and returns the minimum-norm minimizer. Either block may be
+empty: with no seeker rows this is minimum-norm least squares, and with no
+player rows it is least-distance programming, min ||u|| s.t. Gh u >= bh.
 
 When A is nonsingular, u* = A^-1 b meets every row with equality, so the
 least residual is 0 and u* is the answer exactly when the multipliers
@@ -76,8 +78,6 @@ def build_qp(gamma_tilde, b_tilde, gamma_hat, b_hat) -> QpProblem:
     bt = np.atleast_1d(np.asarray(b_tilde, dtype=float))
     gh = np.atleast_2d(np.asarray(gamma_hat, dtype=float))
     bh = np.atleast_1d(np.asarray(b_hat, dtype=float))
-    if gt.shape[0] < 1 or gh.shape[0] < 1:
-        raise UsageError("fallback problem needs at least one player and one seeker row")
     if gt.shape[1] != gh.shape[1]:
         raise UsageError("player and seeker rows must have matching width")
     return QpProblem(gamma_tilde=gt, b_tilde=bt, gamma_hat=gh, b_hat=bh)
@@ -183,23 +183,21 @@ def recover_primal(qp: QpProblem, least: LeastResidual) -> QpResult:
 def _result(qp: QpProblem, mu: np.ndarray, u: np.ndarray, route: str) -> QpResult:
     """A minimizer with its multipliers and KKT residuals."""
     gt, bt, gh, bh = qp.gamma_tilde, qp.b_tilde, qp.gamma_hat, qp.b_hat
-    slack = gh @ u - bh
+    shortfall = bh - gh @ u  # +0.0 on a row met exactly, so no -0.0 is reported
     return QpResult(
         mu=mu,
         u=u,
         objective=float(np.linalg.norm(gt @ u - bt)),
         stationarity_residual=float(np.max(np.abs(2.0 * gt.T @ (gt @ u - bt) - gh.T @ mu))),
-        primal_feasibility_violation=float(max(0.0, np.max(-slack))),
-        complementary_slackness=float(np.max(np.abs(mu * slack))),
+        primal_feasibility_violation=float(np.max(shortfall, initial=0.0)),
+        complementary_slackness=float(np.max(np.abs(mu * shortfall), initial=0.0)),
         route=route,
     )
 
 
 def solve_qp(system: ChannelSystem) -> QpResult:
     """Certify u* = A^-1 b on the cached factors, or search through all
-    three steps. A singular A with one class empty raises SingularMatrixError."""
-    if not (system.nonsingular or system.m and system.n):
-        system.solve(system.b)  # no fallback problem: raises
+    three steps. Either class may be empty (see the module notes)."""
     qp = build_qp_from_stack(system)
     if system.nonsingular:
         u = system.equality_solution()

@@ -114,14 +114,17 @@ def random_small_qp(rng):
     return gt, bt, gh, bh
 
 
-def random_small_system(rng, n_max=4):
+def random_small_system(rng, n_max=4, only=None):
     """A random system of 2 to n_max channels with at least one player and
     one seeker, neither diagonally dominant nor nonsingular by construction.
     About one in five nonsingular draws has a negative seeker multiplier at
-    u* = A^-1 b, so the fallback has to search."""
+    u* = A^-1 b, so the fallback has to search. only="player" or "seeker"
+    gives every channel that role."""
     n = int(rng.integers(2, n_max + 1))
     is_player = rng.random(n) < 0.5
     is_player[0], is_player[-1] = True, False
+    if only is not None:
+        is_player[:] = only == "player"
     roles = tuple(
         PlayerParams(alpha=1.0, beta=float(rng.uniform(0.5, 3.0)), a=float(rng.uniform(0.1, 1.0)))
         if player else SeekerParams(gamma=float(rng.uniform(0.5, 4.0)))
@@ -140,6 +143,104 @@ def farkas_certificate_checks(gh, bh, y) -> bool:
         and np.max(np.abs(gh.T @ y)) <= 1e-9 * np.sum(y) * np.max(np.abs(gh))
         and bh @ y > 0
     )
+
+
+def _row_reduce(rows, rhs, width):
+    """Gauss-Jordan elimination of [rows | rhs] in Fractions. Returns a
+    solution with every free unknown at 0, or None when the equations are
+    inconsistent, and the rank of rows."""
+    aug = [list(row) + [value] for row, value in zip(rows, rhs)]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        k = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if k is None:
+            continue
+        aug[r], aug[k] = aug[k], aug[r]
+        lead = aug[r][col]
+        aug[r] = [v / lead for v in aug[r]]
+        for i, row in enumerate(aug):
+            if i != r and row[col] != 0:
+                aug[i] = [v - row[col] * w for v, w in zip(row, aug[r])]
+        pivots.append(col)
+    if any(row[-1] != 0 for row in aug[len(pivots):]):
+        return None, len(pivots)
+    x = [Fraction(0)] * width
+    for r, col in enumerate(pivots):
+        x[col] = aug[r][-1]
+    return x, len(pivots)
+
+
+def _kkt_point(hessian, grad, cons, rhs):
+    """A minimizer of u.H u / 2 - g.u subject to C u = rhs (H positive
+    semidefinite) from its KKT system [H C^T; C 0] [u; nu] = [g; rhs].
+    Every solution of that system is a minimizer, so a rank-deficient H or
+    C only leaves unknowns free. None when C u = rhs has no solution."""
+    n, k = len(grad), len(cons)
+    rows = [list(h) + [c[i] for c in cons] for i, h in enumerate(hessian)]
+    rows += [list(c) + [Fraction(0)] * k for c in cons]
+    x, _ = _row_reduce(rows, list(grad) + list(rhs), n + k)
+    return None if x is None else x[:n]
+
+
+def _dot(row, x):
+    return sum((a * b for a, b in zip(row, x)), Fraction(0))
+
+
+def exact_fallback(system):
+    """The fallback's answer in exact rational arithmetic, for N <= 4: the
+    minimum-norm point among the minimizers of ||Gt u - bt|| subject to
+    Gh u >= bh, or None when no u meets the seeker rows. A and b are taken
+    as exact.
+
+    The answer u meets its active seeker rows with equality, and a linearly
+    independent subset W of those rows spans the same affine set. So u is
+    u_W, the shortest least-residual point of {Gh_W u = bh_W}, got from two
+    KKT systems: least residual first (any minimizer fixes Gt u = c), then
+    least norm over {Gt u = c, Gh_W u = bh_W}. Every u_W that meets all the
+    seeker rows is feasible, so the answer is the one with the least
+    residual and, of those, the least norm: the optimal set is convex, so
+    its shortest point is unique.
+    """
+    a = [[Fraction(v) for v in row] for row in system.A]
+    b = [Fraction(v) for v in system.b]
+    n = len(b)
+    gt = [row for row, p in zip(a, system.is_player) if p]
+    bt = [v for v, p in zip(b, system.is_player) if p]
+    gh = [row for row, p in zip(a, system.is_player) if not p]
+    bh = [v for v, p in zip(b, system.is_player) if not p]
+    cols = list(zip(*gt)) if gt else [()] * n
+    normal = [[_dot(ci, cj) for cj in cols] for ci in cols]
+    normal_rhs = [_dot(ci, bt) for ci in cols]
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    candidates = []
+    for mask in range(2 ** len(gh)):
+        work = [k for k in range(len(gh)) if mask >> k & 1]
+        rows, rhs = [gh[k] for k in work], [bh[k] for k in work]
+        if _row_reduce(rows, [Fraction(0)] * len(rows), n)[1] < len(rows):
+            continue  # dependent rows: a subset spans the same set
+        u_f = _kkt_point(normal, normal_rhs, rows, rhs)
+        u = _kkt_point(identity, [Fraction(0)] * n, gt + rows,
+                       [_dot(row, u_f) for row in gt] + rhs)
+        if all(_dot(row, u) >= v for row, v in zip(gh, bh)):
+            residual = sum((_dot(row, u) - v) ** 2 for row, v in zip(gt, bt))
+            candidates.append((residual, _dot(u, u), u))
+    if not candidates:
+        return None
+    return np.array([float(v) for v in min(candidates, key=lambda c: c[:2])[2]])
+
+
+def exact_kkt_certifies(system) -> bool:
+    """A is nonsingular in exact arithmetic and the multipliers
+    w = A^-T (2 A^-1 b) are >= 0 on the seeker rows: then u* = A^-1 b is the
+    fallback's answer."""
+    a = [[Fraction(v) for v in row] for row in system.A]
+    n = len(a)
+    u, rank = _row_reduce(a, [Fraction(v) for v in system.b], n)
+    if rank < n:
+        return False
+    w, _ = _row_reduce([list(col) for col in zip(*a)], [2 * v for v in u], n)
+    return all(wi >= 0 for wi, p in zip(w, system.is_player) if not p)
 
 
 def grid_minimum(gt, bt, gh, bh, u_scale, points=41, stages=8):

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osnrgame import (
@@ -29,6 +29,8 @@ from osnrgame.qp import (
 )
 
 from helpers import (
+    exact_fallback,
+    exact_kkt_certifies,
     farkas_certificate_checks,
     grid_minimum,
     random_dominant_instance,
@@ -80,6 +82,18 @@ SINGULAR = (
 )
 
 
+# singular with one service class: u1 + u2 = 0.9 twice (no seeker rows),
+# and 0.5 (u1 - u2) >= 0.1 with 0.5 (u2 - u1) >= 0.1 (no player rows)
+ALL_PLAYERS_SINGULAR = (
+    SystemMatrix(gamma=np.array([[0.0, 1.0], [1.0, 0.0]]), n0=np.array([0.1, 0.1])),
+    ServicePartition(roles=(PlayerParams(1.0, 1.0, 1.0),) * 2),
+)
+ALL_SEEKERS_SINGULAR = (
+    SystemMatrix(gamma=np.full((2, 2), 0.5), n0=np.array([0.1, 0.1])),
+    ServicePartition(roles=(SeekerParams(1.0),) * 2),
+)
+
+
 class TestBuildQp:
     def test_fixture_b_data(self, fixture_b):
         gt, bt, gh, bh = fixture_b
@@ -114,8 +128,6 @@ class TestBuildQp:
             assert (gh.T @ res.mu)[k] == pytest.approx(num, rel=1e-6, abs=1e-8)
 
     def test_usage_errors(self):
-        with pytest.raises(UsageError):
-            build_qp(np.empty((0, 2)), np.empty(0), np.ones((1, 2)), np.zeros(1))
         with pytest.raises(UsageError):
             build_qp(np.ones((1, 2)), np.zeros(1), np.ones((1, 3)), np.zeros(1))
 
@@ -281,6 +293,39 @@ class TestAgainstGridOracle:
             assert res.objective < 1e-8
             assert res.primal_feasibility_violation == 0.0
             assert res.u == pytest.approx(u0_r, abs=1e-9)
+
+
+def small_systems():
+    """random_small_system draws, with both classes or with one."""
+    return st.builds(
+        lambda seed, only: random_small_system(np.random.default_rng(seed), only=only),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([None, "player", "seeker"]),
+    )
+
+
+class TestAgainstExactOracle:
+    """solve_qp against the fallback's answer in rational arithmetic."""
+
+    @given(system=small_systems())
+    @example(system=assemble(*ALL_PLAYERS_SINGULAR))
+    @example(system=assemble(*ALL_SEEKERS_SINGULAR))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_exact_minimizer(self, system):
+        exact = exact_fallback(system)
+        if exact is None:
+            qp = build_qp_from_stack(system)
+            with pytest.raises(InfeasibleError) as exc:
+                solve_qp(system)
+            assert farkas_certificate_checks(qp.gamma_hat, qp.b_hat, exc.value.certificate)
+            return
+        res = solve_qp(system)
+        assert np.linalg.norm(res.u - exact) <= 1e-9 * np.linalg.norm(exact)
+        assert (res.route == "kkt") == exact_kkt_certifies(system)
+
+    def test_one_class_singular_answers(self):
+        assert exact_fallback(assemble(*ALL_PLAYERS_SINGULAR)).tolist() == [0.45, 0.45]
+        assert exact_fallback(assemble(*ALL_SEEKERS_SINGULAR)) is None
 
 
 class TestSolveQpOnStack:

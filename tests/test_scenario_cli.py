@@ -79,8 +79,15 @@ ZERO_DIAGONAL_DOC = {
     ],
 }
 
-# numerically singular with one service class: the fallback has no
-# objective (all seekers) or no constraint (all players)
+# numerically singular with one service class: the fallback is least
+# squares without constraints (all players, u1 + u2 = 0.9 twice) or least
+# distance without an objective (all seekers, whose rows contradict)
+# two 3 dB seekers that u* = A^-1 b meets at least power
+TWO_SEEKER_DOC = {
+    "matrix": {"gamma": [[0.1, 0.05], [0.05, 0.1]], "n0": [0.1, 0.1]},
+    "partition": [{"role": "seeker", "target_osnr_db": 3.0}] * 2,
+}
+
 ONE_CLASS_SINGULAR_DOCS = {
     "players": {
         "matrix": {"gamma": [[0.0, 1.0], [1.0, 0.0]], "n0": [0.1, 0.1]},
@@ -530,13 +537,35 @@ class TestCli:
         )
 
     @pytest.mark.parametrize("solver", ["auto", "direct", "qp"])
-    @pytest.mark.parametrize("name", sorted(ONE_CLASS_SINGULAR_DOCS))
-    def test_one_class_singular_is_a_numerical_failure(self, name, solver, tmp_path, capsys):
-        doc = {**ONE_CLASS_SINGULAR_DOCS[name], "run": {"solver": solver}}
+    def test_all_player_singular_is_least_squares(self, solver, tmp_path, capsys):
+        doc = {**ONE_CLASS_SINGULAR_DOCS["players"], "run": {"solver": solver}}
+        assert main(["solve", write_doc(tmp_path, doc)]) == 0
+        report = orjson.loads(capsys.readouterr().out)
+        assert report["path_taken"] == "qp"
+        assert report["solution"]["route"] == "active_set"
+        assert report["solution"]["u"] == pytest.approx([0.45, 0.45], rel=0.0, abs=1e-12)
+        assert report["solution"]["objective"] <= 1e-12
+
+    @pytest.mark.parametrize("solver", ["auto", "direct", "qp"])
+    def test_all_seeker_singular_is_infeasible(self, solver, tmp_path, capsys):
+        doc = {**ONE_CLASS_SINGULAR_DOCS["seekers"], "run": {"solver": solver}}
         assert main(["solve", write_doc(tmp_path, doc)]) == 2
         assert capsys.readouterr().err == (
-            "numerical failure: system matrix is numerically singular (smallest pivot 0.000e+00)\n"
+            "numerical failure: no power vector meets the seeker targets\n"
         )
+
+    @pytest.mark.parametrize("doc, u", [
+        (NEGATIVE_DOC, [-0.5]),
+        (TWO_SEEKER_DOC, [0.2847483918112286, 0.28474839181122863]),
+    ], ids=["one_player", "two_seekers"])
+    def test_one_class_qp_is_certified(self, doc, u, tmp_path, capsys):
+        qp_doc = {**doc, "run": {"solver": "qp"}}
+        assert main(["solve", write_doc(tmp_path, qp_doc)]) == 0
+        report = orjson.loads(capsys.readouterr().out)
+        assert main(["solve", write_doc(tmp_path, doc, "auto.json")]) == 0
+        auto = orjson.loads(capsys.readouterr().out)
+        assert report["solution"]["route"] == "kkt"
+        assert report["solution"]["u"] == auto["solution"]["u"] == u
 
     @pytest.mark.parametrize("name", sorted(ONE_CLASS_SINGULAR_DOCS))
     def test_one_class_singular_check_has_no_bounds(self, name, tmp_path, capsys):
