@@ -21,15 +21,18 @@ from .model import ChannelSystem, osnr, to_db
 class FeasibilityReport:
     """Row-by-row dominance conditions and the resulting solvability flags."""
 
-    seeker_condition: np.ndarray  # per seeker: gamma_i < 1 / sum_j Gamma_ij
-    player_condition: np.ndarray  # per player: a_i > sum_{j!=i} Gamma_ij
+    # per channel: a player's a_i > sum_{j!=i} Gamma_ij, a seeker's
+    # gamma_i sum_j Gamma_ij < 1
+    condition: np.ndarray
     strictly_diagonally_dominant: bool
     nonsingular: bool
-    margins: np.ndarray  # players, then seekers: |diag| - off-diagonal abs sum
+    # |diag| - off-diagonal abs sum, players then seekers: the one per-channel
+    # array outside channel order, which perfbench/reference.py checks
+    margins: np.ndarray
 
     @property
     def all_conditions_hold(self) -> bool:
-        return bool(np.all(self.seeker_condition) and np.all(self.player_condition))
+        return bool(np.all(self.condition))
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,6 @@ class BoundsReport:
     lower_inf: float
     upper_inf: float | None
     kappa_inf: float
-    euclid_lower: float
-    euclid_upper: float | None
 
 
 @dataclass(frozen=True)
@@ -67,15 +68,12 @@ def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
     nonsingularity of the system matrix. Always returns a report."""
     diag = system.diagonal
     off = system.abs_row_sums - np.abs(diag)
-    # a seeker row holds its condition gamma_i * sum_j Gamma_ij < 1 exactly
-    # when 1 - gamma_i Gamma_ii beats its off-diagonal sum, a player row
-    # when a_i does
-    holds = diag - off > 0
     p = system.is_player
     margins = np.abs(diag) - off
     return FeasibilityReport(
-        seeker_condition=holds[~p],
-        player_condition=holds[p],
+        # a seeker row holds its condition exactly when 1 - gamma_i Gamma_ii
+        # beats its off-diagonal sum, a player row when a_i does
+        condition=diag - off > 0,
         strictly_diagonally_dominant=bool(np.all(margins > 0)),
         nonsingular=system.nonsingular,
         margins=np.concatenate([margins[p], margins[~p]]),
@@ -149,11 +147,4 @@ def power_bounds(system: ChannelSystem) -> BoundsReport:
         alpha, beta, _ = system.partition.player_columns
         upper = kappa * float(np.max(beta / alpha))
 
-    return BoundsReport(
-        preconditions_hold=pre,
-        lower_inf=lower,
-        upper_inf=upper,
-        kappa_inf=kappa,
-        euclid_lower=lower,
-        euclid_upper=None if upper is None else np.sqrt(system.size) * upper,
-    )
+    return BoundsReport(preconditions_hold=pre, lower_inf=lower, upper_inf=upper, kappa_inf=kappa)

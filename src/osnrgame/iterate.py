@@ -57,6 +57,21 @@ def convergence_rate(system: ChannelSystem) -> float:
     return float(np.max((system.abs_row_sums - diag) / diag))
 
 
+def _cannot_converge(system: ChannelSystem) -> str | None:
+    """Why the iteration cannot converge from every start, or None: that
+    needs rho(J) < 1 for J = I - D^-1 A (Varga 1962, ch. 3). sigma >= rho(J),
+    and a singular A = D (I - J), by the direct solve's pivot test, gives J
+    the eigenvalue 1."""
+    sigma = convergence_rate(system)
+    if sigma < 1.0:
+        return None
+    if not system.nonsingular:
+        return f"sigma {sigma:.6g}, rho >= 1 (A is singular)"
+    jacobi = np.eye(system.size) - system.A / system.diagonal[:, None]
+    rho = float(np.max(np.abs(np.linalg.eigvals(jacobi))))
+    return None if rho < 1.0 else f"sigma {sigma:.6g}, rho {rho:.6g}"
+
+
 def run(
     system: ChannelSystem,
     options: RunOptions,
@@ -73,6 +88,9 @@ def run(
 
     When a direct solution is supplied, the trace carries error norms
     against it and the observed per-step contraction ratios.
+
+    A system whose iteration cannot converge from every start (rho(J) >= 1)
+    raises ConvergenceError at step 1, unless that step already meets tol.
     """
     eps = np.finfo(float).eps
     eps_floor = 10.0 * eps
@@ -112,6 +130,8 @@ def run(
             trace.converged_at = k
             trace.final = u_next
             return trace
+        if k == 1 and (why := _cannot_converge(system)):
+            raise ConvergenceError(f"the iteration cannot converge: {why}", trace=trace)
         if max(hi, -lo) > DIVERGENCE_LIMIT_MW:
             raise DivergenceError(f"iteration diverged at step {k}", trace=trace)
         u = u_next

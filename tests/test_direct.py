@@ -47,7 +47,7 @@ class TestCheckFeasibility:
             [PlayerParams(1.0, 2.0, 0.01), SeekerParams(2000.0)],
         )
         rep = check_feasibility(stack)
-        assert not rep.seeker_condition[0]
+        assert rep.condition.tolist() == [True, False]  # channel 2 is the seeker
         assert not rep.all_conditions_hold
 
     def test_weak_player_fails(self):
@@ -56,7 +56,29 @@ class TestCheckFeasibility:
             [PlayerParams(1.0, 2.0, 0.001), SeekerParams(100.0)],
         )
         rep = check_feasibility(stack)
-        assert not rep.player_condition[0]
+        assert rep.condition.tolist() == [False, True]
+
+    def test_condition_is_in_channel_order(self):
+        # seeker 100 * 0.004 < 1 holds; player 0.001 < 0.004 and seeker
+        # 300 * 0.004 >= 1 fail. Players first would read [False, True, False].
+        gamma = [[0.001, 0.002, 0.001], [0.002, 0.001, 0.002], [0.001, 0.002, 0.001]]
+        sysm, part, stack = make(
+            gamma, [0.01] * 3,
+            [SeekerParams(100.0), PlayerParams(1.0, 2.0, 0.001), SeekerParams(300.0)],
+        )
+        assert check_feasibility(stack).condition.tolist() == [True, False, False]
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_condition_is_each_channels_row_condition(self, seed):
+        stack = random_small_system(np.random.default_rng(seed))
+        gamma = stack.matrix.gamma
+        want = [
+            role.a > gamma[i].sum() - gamma[i, i] if isinstance(role, PlayerParams)
+            else role.gamma * gamma[i].sum() < 1.0
+            for i, role in enumerate(stack.partition.roles)
+        ]
+        assert check_feasibility(stack).condition.tolist() == want
 
     def test_zero_coupling_always_feasible(self):
         sysm, part, stack = make(
@@ -223,7 +245,6 @@ class TestPowerBounds:
 
         assert rep.lower_inf == pytest.approx(0.2, rel=1e-12)
         assert rep.upper_inf == pytest.approx(kappa * 1.0, rel=1e-12)
-        assert rep.euclid_upper == pytest.approx(np.sqrt(2.0) * rep.upper_inf, rel=1e-12)
 
         sol = solve_dsnp(stack)
         assert sol.u == pytest.approx([0.99493, 1.33221], abs=1e-5)
@@ -249,7 +270,6 @@ class TestPowerBounds:
         sysm, part, stack = make([[0.001]], [0.01], [SeekerParams(100.0)])
         rep = power_bounds(stack)
         assert rep.upper_inf is None
-        assert rep.euclid_upper is None
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -262,16 +263,48 @@ class TestRun:
         assert np.all(np.isfinite(exc.value.trace.iterates[-1]))
 
     def test_divergence(self):
-        # both seeker gains exceed one: multiplicative blow-up
+        # both seeker gains exceed one: a multiplicative blow-up, with
+        # J = [[0, 3], [3, 0]], that is refused after its first step
         _, _, stack = make(
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
             [SeekerParams(600.0), SeekerParams(600.0)],
         )
         assert convergence_rate(stack) > 1.0
         cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-10, max_iter=10000)
-        with pytest.raises(DivergenceError) as exc:
+        with pytest.raises(ConvergenceError, match=r"cannot converge: sigma 3, rho 3$") as exc:
             run(stack, cfg)
-        assert exc.value.trace.iterates
+        assert len(exc.value.trace.iterates) == 2
+
+    def test_transient_past_the_limit_diverges(self):
+        # sigma = 1e11 but J is nilpotent (rho 0): not refused, yet the
+        # first step passes DIVERGENCE_LIMIT_MW
+        _, _, stack = make(
+            [[0.0, 1e8], [0.0, 0.0]], [0.01, 0.01], [PlayerParams(1.0, 2.0, 1e-3)] * 2,
+        )
+        assert stack.nonsingular
+        cfg = RunOptions(u0=np.array([0.5, 20.0]), tol=1e-10)
+        with pytest.raises(DivergenceError, match="iteration diverged at step 1"):
+            run(stack, cfg)
+
+    def test_singular_system_is_refused_at_step_one(self):
+        # the singular all-player system, J = [[0, -1], [-1, 0]] with rho 1,
+        # used to run all max_iter steps
+        _, _, stack = make(
+            [[0.0, 1.0], [1.0, 0.0]], [0.1, 0.1], [PlayerParams(1.0, 1.0, 1.0)] * 2,
+        )
+        with pytest.raises(ConvergenceError) as exc:
+            run(stack, RunOptions())
+        assert str(exc.value) == "the iteration cannot converge: sigma 1, rho >= 1 (A is singular)"
+        assert len(exc.value.trace.iterates) <= 2
+        assert exc.value.trace.converged_at is None
+
+    def test_first_step_at_the_fixed_point_is_not_refused(self):
+        # rho = 2, but a start at the solution meets tol at step 1
+        _, _, stack = make(
+            [[0.0, 1.0], [1.0, 0.0]], [0.1, 0.1], [PlayerParams(1.0, 1.0, 0.5)] * 2,
+        )
+        u_star = solve_dsnp(stack).u
+        assert run(stack, RunOptions(u0=u_star)).converged_at == 1
 
     def test_non_finite_iterate_raises_at_once(self, fixture_a):
         # a finite start near the float maximum overflows the first update
@@ -310,20 +343,21 @@ class TestRun:
         assert exc.value.trace.iterates[-1][0] < -1e12
 
     def test_strict_nonnegative_aborts_at_first_negative_step(self):
-        # sigma > 1 around a positive fixed point: the swings grow until
-        # step 4 is the first with a negative power
+        # sigma = 2 and rho = 0.89 around the positive fixed point (47.9,
+        # 21.1): J squared is -rho^2 I, so the error turns a quarter each
+        # step, and step 2 is the first with a negative power
         _, _, stack = make(
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
-            [PlayerParams(1.0, 100.0, 0.001), SeekerParams(600.0)],
+            [PlayerParams(1.0, 100.0, 0.001), SeekerParams(166.0)],
         )
-        cfg = RunOptions(u0=np.array([8.0, 42.0]), tol=1e-14, strict_nonnegative=True)
+        cfg = RunOptions(u0=np.array([800.0, 42.0]), tol=1e-14, strict_nonnegative=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NegativePowerError, match="at step 4") as exc:
+            with pytest.raises(NegativePowerError, match="at step 2") as exc:
                 run(stack, cfg)
-        assert exc.value.trace.negative_steps == [4]
+        assert exc.value.trace.negative_steps == [2]
         assert exc.value.trace.iterates[-1].min() < 0
-        assert len(exc.value.trace.iterates) == 5
+        assert len(exc.value.trace.iterates) == 3
 
     def test_strict_nonnegative_raises(self):
         _, _, stack = make(
@@ -349,18 +383,19 @@ class TestRun:
         assert trace.negative_steps == [1, 2]
 
     def test_negative_steps_on_failed_run(self):
-        # sigma = 3: the iterates swing in sign as they grow
+        # the system above from a start far from its fixed point: the
+        # iterates swing in sign as they shrink, until the cap
         _, _, stack = make(
             [[0.001, 0.002], [0.002, 0.001]], [0.01, 0.01],
-            [PlayerParams(1.0, 0.1, 0.001), SeekerParams(600.0)],
+            [PlayerParams(1.0, 100.0, 0.001), SeekerParams(166.0)],
         )
-        cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-14, max_iter=6)
+        cfg = RunOptions(u0=np.array([8.0, 420.0]), tol=1e-14, max_iter=6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError) as exc:
+            with pytest.raises(ConvergenceError, match="within 6 steps") as exc:
                 run(stack, cfg)
-        # step 4 is the one positive iterate after the start
-        assert exc.value.trace.negative_steps == [1, 2, 3, 5, 6]
+        # steps 3 and 4 are the positive iterates after the start
+        assert exc.value.trace.negative_steps == [1, 2, 5, 6]
 
     def test_zero_start_converges_silently(self, fixture_a):
         sysm, part, stack = fixture_a
@@ -409,6 +444,43 @@ def drawn_run(seed):
             return type(exc).__name__, exc.trace
 
 
+def bounded_draw(seed):
+    """A random_small_system draw with sigma <= 3, so that no transient
+    passes DIVERGENCE_LIMIT_MW, the spectral radius of its Jacobi matrix
+    from the pencil (D - A, D), and a nonnegative start."""
+    rng = np.random.default_rng(seed)
+    system = random_small_system(rng)
+    while convergence_rate(system) > 3.0:
+        system = random_small_system(rng)
+    d = np.diag(system.diagonal)
+    rho = float(np.max(np.abs(scipy.linalg.eigvals(d - system.A, d))))
+    return system, rho, rng.uniform(0.0, 2.0, system.size)
+
+
+class TestSpectralRadius:
+    """The iteration converges from every start exactly when rho(J) < 1;
+    run refuses at step 1 a system with rho(J) >= 1, whatever its sigma."""
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_converges_or_refuses_by_rho(self, seed):
+        system, rho, u0 = bounded_draw(seed)
+        options = RunOptions(u0=u0, tol=1e-9)
+        if rho <= 0.95:
+            assert run(system, options).converged_at is not None
+        elif rho >= 1.0:
+            with pytest.raises(ConvergenceError, match="cannot converge") as exc:
+                run(system, options)
+            assert len(exc.value.trace.iterates) == 2
+
+    def test_draws_fall_on_both_sides(self):
+        draws = [(convergence_rate(system), rho)
+                 for system, rho, _ in map(bounded_draw, range(40))]
+        assert any(sigma < 1.0 for sigma, _ in draws)
+        assert any(sigma >= 1.0 and rho <= 0.95 for sigma, rho in draws)
+        assert any(rho >= 1.0 for _, rho in draws)
+
+
 class TestNegativeSteps:
     """trace.negative_steps lists exactly the steps, the start included,
     whose iterate has a negative entry, however the run ends."""
@@ -422,10 +494,15 @@ class TestNegativeSteps:
         ]
 
     def test_draws_reach_every_outcome(self):
-        outcomes = {drawn_run(seed)[0] for seed in range(40)}
-        assert outcomes == {
-            "converged", "ConvergenceError", "DivergenceError", "NegativePowerError"
-        }
+        # a drawn system that could diverge is refused at step 1, so the
+        # draws reach no DivergenceError; the unit tests above cover it
+        outcomes = set()
+        for seed in range(40):
+            outcome, trace = drawn_run(seed)
+            if outcome == "ConvergenceError":
+                outcome = "refused" if len(trace.iterates) == 2 else "capped"
+            outcomes.add(outcome)
+        assert outcomes == {"converged", "capped", "refused", "NegativePowerError"}
 
 
 class TestTraceOsnr:

@@ -536,6 +536,13 @@ class TestCli:
             "numerical failure: singular update: a seeker's target times its self-coupling is 1\n"
         )
 
+    def test_all_player_singular_iterate_is_refused(self, tmp_path, capsys):
+        # J = [[0, -1], [-1, 0]] has rho 1: no run from (1, 1) converges
+        assert main(["iterate", write_doc(tmp_path, ONE_CLASS_SINGULAR_DOCS["players"])]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: the iteration cannot converge: sigma 1, rho >= 1 (A is singular)\n"
+        )
+
     @pytest.mark.parametrize("solver", ["auto", "direct", "qp"])
     def test_all_player_singular_is_least_squares(self, solver, tmp_path, capsys):
         doc = {**ONE_CLASS_SINGULAR_DOCS["players"], "run": {"solver": solver}}
@@ -573,6 +580,39 @@ class TestCli:
         report = orjson.loads(capsys.readouterr().out)
         assert report["bounds"] is None
         assert report["feasibility"]["nonsingular"] is False
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_report_states_each_fact_once(self, command, monkeypatch, capsys):
+        monkeypatch.setattr("osnrgame.cli.load_scenario", lambda path: demo3_scenario())
+        assert main([command, "demo3.json"]) == 0
+        report = orjson.loads(capsys.readouterr().out)
+        assert set(report["feasibility"]) == {
+            "condition", "margins", "nonsingular", "strictly_diagonally_dominant"
+        }
+        assert set(report["bounds"]) == {"kappa_inf", "lower_inf", "preconditions_hold", "upper_inf"}
+        assert report["feasibility"]["condition"] == [True, True, True]
+
+    @pytest.mark.parametrize("n, kappa", [
+        (20, 10485760.0), (40, 21990232555520.0), (60, 3.458764513820541e19),
+    ])
+    def test_ill_conditioned_triangular_is_solved_directly(self, n, kappa, tmp_path, capsys):
+        # N 0 dB seekers with Gamma_ij = 1 above the diagonal: A is unit
+        # upper triangular with -1 above it, so det A = 1 and the pivot test
+        # passes, while ||A^-1||_inf = 2^(N-1) and kappa_inf = N 2^(N-1). A
+        # singularity test on kappa would move this verdict: an output change.
+        doc = {
+            "matrix": {"gamma": np.triu(np.ones((n, n)), 1).tolist(), "n0": [0.01] * n},
+            "partition": [{"role": "seeker", "target_osnr_db": 0.0}] * n,
+        }
+        path = write_doc(tmp_path, doc)
+        assert main(["check", path]) == 0
+        check = orjson.loads(capsys.readouterr().out)
+        assert check["feasibility"]["nonsingular"] is True
+        assert check["bounds"]["kappa_inf"] == kappa == n * 2.0 ** (n - 1)
+        assert main(["solve", path]) == 0
+        report = orjson.loads(capsys.readouterr().out)
+        assert report["path_taken"] == "direct"
+        assert max(report["solution"]["seeker_residuals"]) <= 3.4e-16
 
     def test_output_failure_exit_code(self, tmp_path, capsys):
         path = write_doc(tmp_path, FIXTURE_A_DOC)
