@@ -16,63 +16,19 @@ from . import direct as direct_mod
 from .errors import NumericalError, OutputError, ValidationError
 from .model import assemble
 from .run import emit, execute, write_json
-from .scenario import RunOptions, Scenario, demo3_scenario, demo30_scenario, load_scenario
+from .scenario import RunOptions, demo3_scenario, demo30_scenario, load_scenario
+
+RUN_FIELDS = frozenset(f.name for f in dataclasses.fields(RunOptions))
 
 
-def _add_args(parser: argparse.ArgumentParser, with_scenario: bool = True,
-              with_run: bool = True):
-    if with_scenario:
-        parser.add_argument("scenario", help="path to a scenario JSON file")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    if not with_run:
-        return
-    parser.add_argument("--tol", type=float, default=None, help="override run.tol")
-    parser.add_argument("--max-iter", type=int, default=None, help="override run.max_iter")
-    parser.add_argument(
-        "--u0", default=None,
-        help="initial powers in mW: one value or a comma-separated list",
-    )
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument(
-        "--strict-nonneg", action="store_true",
-        help="abort the iteration on the first negative power",
-    )
-    parser.add_argument(
-        "--timing", action="store_true", help="include wall-clock timing in JSON output"
-    )
-
-
-def _apply_overrides(scenario: Scenario, args, solver: str | None = None) -> Scenario:
-    opts = scenario.run
-    changes = {}
-    if solver is not None:
-        changes["solver"] = solver
-    if args.tol is not None:
-        changes["tol"] = args.tol
-    if args.max_iter is not None:
-        changes["max_iter"] = args.max_iter
-    if args.u0 is not None:
-        changes["u0"] = str(args.u0).split(",")  # RunOptions parses and checks them
-    if args.strict_nonneg:
-        changes["strict_nonnegative"] = True
-    if not changes:
-        return scenario
-    return dataclasses.replace(scenario, run=dataclasses.replace(opts, **changes))
-
-
-def _run_and_emit(scenario: Scenario, args) -> int:
-    report = execute(scenario)
-    emit(report, fmt=args.format, out_path=args.out, include_timing=args.timing)
+def _cmd_run(args) -> int:
+    scenario = args.demo() if args.demo else load_scenario(args.scenario)
+    # a run flag is in args only when given (its default is SUPPRESS), under its field's name
+    changes = {name: value for name, value in vars(args).items() if name in RUN_FIELDS}
+    if changes:
+        scenario = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, **changes))
+    emit(execute(scenario), fmt=args.format, out_path=args.out, include_timing=args.timing)
     return 0
-
-
-def _cmd_solve(args) -> int:
-    return _run_and_emit(_apply_overrides(load_scenario(args.scenario), args), args)
-
-
-def _cmd_iterate(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args, solver="iterative")
-    return _run_and_emit(scenario, args)
 
 
 def _cmd_check(args) -> int:
@@ -93,11 +49,16 @@ def _cmd_gamma(args) -> int:
     return 0
 
 
-def _cmd_demo(builder):
-    def inner(args) -> int:
-        return _run_and_emit(_apply_overrides(builder(), args), args)
-
-    return inner
+# (name, help, handler, built-in scenario); a command without one reads a scenario file
+COMMANDS = (
+    ("solve", "solve a scenario with auto routing", _cmd_run, None),
+    ("check", "feasibility and power bounds only", _cmd_check, None),
+    ("iterate", "distributed iterative run with trace", _cmd_run, None),
+    ("gamma", "print the coupling matrix and noise vector", _cmd_gamma, None),
+    ("demo3", "3-channel built-in fixture (2 players, 1 seeker)", _cmd_run, demo3_scenario),
+    ("demo30", "30-channel built-in fixture (20 players, 10 seekers)", _cmd_run,
+     demo30_scenario),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,31 +67,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Power allocation for mixed game-player/target-seeker WDM links",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve a scenario with auto routing")
-    _add_args(p)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("check", help="feasibility and power bounds only")
-    _add_args(p, with_run=False)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("iterate", help="distributed iterative run with trace")
-    _add_args(p)
-    p.set_defaults(func=_cmd_iterate)
-
-    p = sub.add_parser("gamma", help="print the coupling matrix and noise vector")
-    _add_args(p, with_run=False)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("demo3", help="3-channel built-in fixture (2 players, 1 seeker)")
-    _add_args(p, with_scenario=False)
-    p.set_defaults(func=_cmd_demo(demo3_scenario))
-
-    p = sub.add_parser("demo30", help="30-channel built-in fixture (20 players, 10 seekers)")
-    _add_args(p, with_scenario=False)
-    p.set_defaults(func=_cmd_demo(demo30_scenario))
-
+    for name, help_text, func, demo in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func, demo=demo)
+        if demo is None:
+            p.add_argument("scenario", help="path to a scenario JSON file")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        if func is not _cmd_run:
+            continue
+        p.add_argument("--tol", default=argparse.SUPPRESS, type=float, help="override run.tol")
+        p.add_argument("--max-iter", default=argparse.SUPPRESS, type=int,
+                       help="override run.max_iter")
+        p.add_argument(
+            "--u0", type=lambda text: text.split(","),  # RunOptions parses and checks them
+            help="initial powers in mW: one value or a comma-separated list",
+            default=argparse.SUPPRESS,
+        )
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument(
+            "--strict-nonneg", dest="strict_nonnegative", action="store_true",
+            help="abort the iteration on the first negative power",
+            default=argparse.SUPPRESS,
+        )
+        p.add_argument(
+            "--timing", action="store_true", help="include wall-clock timing in JSON output"
+        )
+    sub.choices["iterate"].set_defaults(solver="iterative")
     return parser
 
 

@@ -59,14 +59,11 @@ def convergence_rate(system: ChannelSystem) -> float:
 
 def _cannot_converge(system: ChannelSystem) -> str | None:
     """Why the iteration cannot converge from every start, or None: that
-    needs rho(J) < 1 for J = I - D^-1 A (Varga 1962, ch. 3). sigma >= rho(J),
-    and a singular A = D (I - J), by the direct solve's pivot test, gives J
-    the eigenvalue 1."""
+    needs rho(J) < 1 for J = I - D^-1 A (Varga 1962, ch. 3), and sigma >=
+    rho(J). A singular A = D (I - J) gives J the eigenvalue 1."""
     sigma = convergence_rate(system)
     if sigma < 1.0:
         return None
-    if not system.nonsingular:
-        return f"sigma {sigma:.6g}, rho >= 1 (A is singular)"
     jacobi = np.eye(system.size) - system.A / system.diagonal[:, None]
     rho = float(np.max(np.abs(np.linalg.eigvals(jacobi))))
     return None if rho < 1.0 else f"sigma {sigma:.6g}, rho {rho:.6g}"

@@ -75,26 +75,19 @@ def execute(scenario: Scenario) -> RunReport:
     path = opts.solver
 
     t0 = time.perf_counter()
-    if opts.solver == "qp" or (opts.solver in ("auto", "direct") and not feas.nonsingular):
+    if opts.solver == "qp" or (opts.solver != "iterative" and not feas.nonsingular):
         path = "qp"
         solution = qp_mod.solve_qp(system)
-    elif opts.solver == "direct":
-        solution = direct_mod.solve_dsnp(system)
-        bounds = direct_mod.power_bounds(system)
     elif opts.solver == "iterative":
-        path = "iterative"
-        reference = None
-        if feas.nonsingular:
-            reference = direct_mod.solve_dsnp(system).u
+        reference = direct_mod.solve_dsnp(system).u if feas.nonsingular else None
         sigma = iterate_mod.convergence_rate(system)
         trace = iterate_mod.run(system, opts, reference=reference)
         solution = direct_mod.verify(trace.final, system)
-    else:  # auto
+    else:  # direct, and under auto the cross-check when the update contracts
         path = "direct"
         solution = direct_mod.solve_dsnp(system)
         bounds = direct_mod.power_bounds(system)
-        sigma = iterate_mod.convergence_rate(system)
-        if sigma < 1.0:
+        if opts.solver == "auto" and (sigma := iterate_mod.convergence_rate(system)) < 1.0:
             try:
                 trace = iterate_mod.run(system, opts, reference=solution.u)
             except (ConvergenceError, DivergenceError) as exc:

@@ -294,9 +294,21 @@ class TestRun:
         )
         with pytest.raises(ConvergenceError) as exc:
             run(stack, RunOptions())
-        assert str(exc.value) == "the iteration cannot converge: sigma 1, rho >= 1 (A is singular)"
+        assert str(exc.value) == "the iteration cannot converge: sigma 1, rho 1"
         assert len(exc.value.trace.iterates) <= 2
         assert exc.value.trace.converged_at is None
+
+    def test_badly_row_scaled_system_that_converges_is_not_refused(self):
+        # the LU pivot test calls this A singular (pivot 1 against |A| 1e13),
+        # yet J is nilpotent (rho 0): the run converges at step 2
+        _, _, stack = make(
+            [[0.0, 1e13], [0.0, 0.0]], [0.01, 0.01],
+            [PlayerParams(1.0, 1.0, 1.0), PlayerParams(1.0, 0.01 + 1e-14, 1.0)],
+        )
+        assert not stack.nonsingular
+        trace = run(stack, RunOptions(u0=np.array([0.5, stack.b[1]])))
+        assert trace.converged_at == 2
+        assert trace.final == pytest.approx([0.89, 1e-14], rel=1e-4)
 
     def test_first_step_at_the_fixed_point_is_not_refused(self):
         # rho = 2, but a start at the solution meets tol at step 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -50,6 +51,13 @@ NO_OSNR_DOC = {
         {"role": "player", "alpha": 1.0, "beta": 0.8991, "a": 0.4804},
     ],
     "run": {"solver": "direct"},
+}
+
+# every run option set away from its default, to see which ones a flag overrides
+RUN_OPTIONS_DOC = {
+    **FIXTURE_A_DOC,
+    "run": {"tol": 1e-6, "max_iter": 7, "u0": [0.2, 0.3], "strict_nonnegative": True,
+            "solver": "direct"},
 }
 
 # one player whose price is too high for its willingness to pay: the
@@ -540,7 +548,7 @@ class TestCli:
         # J = [[0, -1], [-1, 0]] has rho 1: no run from (1, 1) converges
         assert main(["iterate", write_doc(tmp_path, ONE_CLASS_SINGULAR_DOCS["players"])]) == 2
         assert capsys.readouterr().err == (
-            "numerical failure: the iteration cannot converge: sigma 1, rho >= 1 (A is singular)\n"
+            "numerical failure: the iteration cannot converge: sigma 1, rho 1\n"
         )
 
     @pytest.mark.parametrize("solver", ["auto", "direct", "qp"])
@@ -736,6 +744,62 @@ class TestCli:
         text = capsys.readouterr().out
         assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text)) == {"-h", "--help", "--out"}
         assert "scenario" in text
+
+    @pytest.mark.parametrize("command", ["solve", "iterate", "demo3", "demo30"])
+    def test_run_commands_take_exactly_the_run_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        text = capsys.readouterr().out
+        assert set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text)) == {
+            "-h", "--help", "--out", "--tol", "--max-iter", "--u0", "--format",
+            "--strict-nonneg", "--timing"}
+        assert ("scenario" in text) == (not command.startswith("demo"))
+
+    @staticmethod
+    def executed_run_options(argv, monkeypatch) -> dict:
+        """The RunOptions that `main(argv)` hands to execute, as plain values."""
+        seen = []
+        monkeypatch.setattr("osnrgame.cli.execute", lambda scenario: seen.append(scenario.run))
+        monkeypatch.setattr("osnrgame.cli.emit", lambda report, **kwargs: None)
+        assert main(argv) == 0
+        (opts,) = seen
+        return {f.name: np.asarray(getattr(opts, f.name)).tolist()
+                for f in dataclasses.fields(opts)}
+
+    def test_solve_without_flags_runs_the_files_options(self, tmp_path, monkeypatch):
+        path = write_doc(tmp_path, RUN_OPTIONS_DOC)
+        assert self.executed_run_options(["solve", path], monkeypatch) == RUN_OPTIONS_DOC["run"]
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize(
+        "flags, change",
+        [
+            (["--tol", "1e-3"], {"tol": 1e-3}),
+            (["--max-iter", "3"], {"max_iter": 3}),
+            (["--u0", "0.5"], {"u0": [0.5]}),
+            (["--u0", "0.1,0.4"], {"u0": [0.1, 0.4]}),
+            (["--strict-nonneg"], {"strict_nonnegative": True}),
+            (["--format", "csv", "--timing", "--out", "x.csv"], {}),
+        ],
+        ids=["tol", "max-iter", "u0-one", "u0-list", "strict-nonneg", "output-flags"],
+    )
+    def test_each_run_flag_changes_only_its_field(self, flags, change, strict, tmp_path,
+                                                  monkeypatch):
+        run = {**RUN_OPTIONS_DOC["run"], "strict_nonnegative": strict}
+        path = write_doc(tmp_path, {**RUN_OPTIONS_DOC, "run": run})
+        assert self.executed_run_options(["solve", path, *flags], monkeypatch) == {**run, **change}
+
+    @pytest.mark.parametrize("flags", [[], ["--max-iter", "3"]], ids=["bare", "max-iter"])
+    def test_iterate_forces_the_iterative_solver(self, flags, tmp_path, monkeypatch):
+        path = write_doc(tmp_path, RUN_OPTIONS_DOC)
+        change = {"solver": "iterative", **({"max_iter": 3} if flags else {})}
+        assert self.executed_run_options(["iterate", path, *flags], monkeypatch) == {
+            **RUN_OPTIONS_DOC["run"], **change}
+
+    def test_demo_flags_override_the_built_in_options(self, monkeypatch):
+        assert self.executed_run_options(["demo3", "--u0", "0.3"], monkeypatch) == {
+            "solver": "auto", "tol": 1e-10, "max_iter": DEFAULT_MAX_ITER, "u0": [0.3],
+            "strict_nonnegative": False}
 
     def test_infinite_u0_in_scenario_is_an_input_error(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
