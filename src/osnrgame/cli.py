@@ -3,13 +3,17 @@
 Subcommands: solve (auto-routed), check (feasibility and bounds only),
 iterate (trace-producing run), gamma (print the coupling matrix), and the
 built-in demo3/demo30 fixtures. Exit codes: 0 success, 1 validation
-error, 2 numerical failure, 3 output error.
+error, 2 numerical failure, 3 output error (an unwritable --out file or
+stdout). `entry` is the process entry of `osnrgame` and `python -m
+osnrgame.cli`; `main` is the same command without its process set-up.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
+import os
 import sys
 
 from . import direct as direct_mod
@@ -111,5 +115,21 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def entry() -> None:
+    """Run the command in sys.argv as this process, and exit with its code."""
+    # Freeze what the imports allocated (~40k gc-tracked objects, mostly
+    # numpy's and scipy's): the collector then never walks them again, and
+    # the interpreter's exit skips their teardown, about 50 ms of a process.
+    gc.freeze()
+    status = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; the unwritten report would make
+        # the interpreter's own flush at exit fail again, so send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -141,14 +141,16 @@ def _csv_rows(report: RunReport):
 
 
 def write_text(text: str, out_path: str | None = None) -> None:
-    if out_path is None:
-        _sys.stdout.write(text)
-        return
     try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        if out_path is None:
+            _sys.stdout.write(text)
+            _sys.stdout.flush()  # so a full device or a closed pipe fails here
+        else:
+            with open(out_path, "w") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise OutputError(f"cannot write {out_path}: {exc}") from exc
+        where = "stdout" if out_path is None else out_path
+        raise OutputError(f"cannot write {where}: {exc}") from exc
 
 
 def write_json(doc, out_path: str | None = None) -> None:

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -893,6 +895,68 @@ class TestCli:
             assert main(["solve", path]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+
+def cli_process(argv, cwd, stdout):
+    """`python -m osnrgame.cli ARGV` as a shell runs it, with stdout block-buffered."""
+    env = {k: v for k, v in subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "osnrgame.cli", *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+
+
+class TestProcessEntry:
+    def test_main_runs_with_the_imported_heap_frozen(self, tmp_path):
+        script = ("import gc\n"
+                  "import osnrgame.cli as cli\n"
+                  "cli.main = lambda: print(gc.get_freeze_count()) or 2\n"
+                  "cli.entry()\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=subprocess_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr  # main's code is the process's
+        assert int(proc.stdout) > 0
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["demo3"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_entry_writes_what_main_writes(self, tmp_path, capsys):
+        proc = cli_process(["demo3"], tmp_path, subprocess.PIPE)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert main(["demo3"]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize(
+        "argv, sink",
+        [
+            (["demo3"], "/dev/full"),
+            (["check", "scenario.json"], "/dev/full"),
+            (["gamma", "scenario.json"], "/dev/full"),
+            (["demo30", "--format", "csv"], "closed pipe"),
+            (["gamma", "scenario.json"], "closed pipe"),
+        ],
+        ids=["demo3-full", "check-full", "gamma-full", "demo30-csv-pipe", "gamma-pipe"],
+    )
+    def test_unwritable_stdout_is_an_output_failure(self, argv, sink, tmp_path):
+        # a short report sits in the stdout buffer until the interpreter's last
+        # flush, a long one fails at its write
+        write_doc(tmp_path, FIXTURE_A_DOC)
+        if sink == "/dev/full":
+            if not os.path.exists(sink):
+                pytest.skip("no /dev/full")
+            with open(sink, "wb") as full:
+                proc = cli_process(argv, tmp_path, full)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = cli_process(argv, tmp_path, write_end)
+            finally:
+                os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, err
+        assert err.startswith("output failure: cannot write stdout: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestDemoScenarios:
