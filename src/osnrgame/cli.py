@@ -121,12 +121,18 @@ def entry() -> None:
     # numpy's and scipy's): the collector then never walks them again, and
     # the interpreter's exit skips their teardown, about 50 ms of a process.
     gc.freeze()
-    status = main()
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse's help or usage, whose output is still buffered
+        status = exc.code
     try:
         sys.stdout.flush()
-    except OSError:
-        # main has reported the failed write; the unwritten report would make
-        # the interpreter's own flush at exit fail again, so send it nowhere
+    except OSError as exc:
+        if status != 3:  # main has not reported the failed write
+            print(f"output failure: cannot write stdout: {exc}", file=sys.stderr)
+            status = 3
+        # the unwritten output would make the interpreter's own flush at exit
+        # fail again, so send it nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(status)
 

@@ -23,7 +23,8 @@ DIVERGENCE_LIMIT_MW = 1e12
 
 @dataclass
 class IterationTrace:
-    # every iterate, the start included; only the CSV trace reads them
+    # every iterate, the start included; the other lists are derived from
+    # them when the run ends, and the CSV trace prints them
     iterates: list[np.ndarray] = field(default_factory=list, metadata={"json": False})
     error_history: list[float] = field(default_factory=list)
     contraction_ratios: list[float | None] = field(default_factory=list)
@@ -89,49 +90,41 @@ def run(
     A system whose iteration cannot converge from every start (rho(J) >= 1)
     raises ConvergenceError at step 1, unless that step already meets tol.
     """
-    eps = np.finfo(float).eps
-    eps_floor = 10.0 * eps
-    if reference is not None:
-        # ratios are meaningful only while the error is well above the
-        # rounding resolution of the reference; past that point the measured
-        # quotient drifts toward 1 regardless of the true contraction factor
-        ref_scale = 1.0 + float(np.max(np.abs(reference)))
-        eps_floor = max(eps_floor, 100.0 * np.sqrt(eps) * ref_scale)
-    trace = IterationTrace()
     u = options.initial_powers(system.size).copy()  # may be options.u0 itself
-
-    def record(vec: np.ndarray, step_idx: int, negative: bool):
-        trace.iterates.append(vec)  # step returns a new array each time
+    trace = IterationTrace(iterates=[u])
+    try:
+        if options.strict_nonnegative and np.any(u < 0):
+            raise NegativePowerError("negative power at step 0", trace=trace)
+        for k in range(1, options.max_iter + 1):
+            u_next = step(u, system)
+            trace.iterates.append(u_next)  # step returns a new array each time
+            if options.strict_nonnegative and np.any(u_next < 0):
+                raise NegativePowerError(f"negative power at step {k}", trace=trace)
+            size = float(np.max(np.abs(u_next)))  # NaN when an entry is NaN
+            if not math.isfinite(size):
+                raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
+            if float(np.max(np.abs(u_next - u))) <= options.tol:
+                trace.converged_at = k
+                return trace
+            if k == 1 and (why := _cannot_converge(system)):
+                raise ConvergenceError(f"the iteration cannot converge: {why}", trace=trace)
+            if size > DIVERGENCE_LIMIT_MW:
+                raise DivergenceError(f"iteration diverged at step {k}", trace=trace)
+            u = u_next
+        raise ConvergenceError(
+            f"no convergence to tol={options.tol} within {options.max_iter} steps", trace=trace
+        )
+    finally:  # the other fields are functions of the iterates, however the run ended
+        stacked = np.stack(trace.iterates)
+        trace.iterates = list(stacked)  # rows of one block: the step arrays are freed
+        trace.negative_steps = np.flatnonzero((stacked < 0).any(axis=1)).tolist()
+        if trace.converged_at is not None:
+            trace.final = trace.iterates[-1]
         if reference is not None:
-            err = float(np.max(np.abs(vec - reference)))
-            if trace.error_history:
-                prev = trace.error_history[-1]
-                trace.contraction_ratios.append(
-                    err / prev if prev > eps_floor else None
-                )
-            trace.error_history.append(err)
-        if negative:
-            trace.negative_steps.append(step_idx)
-            if options.strict_nonnegative:
-                raise NegativePowerError(f"negative power at step {step_idx}", trace=trace)
-
-    record(u, 0, bool(np.any(u < 0)))
-    for k in range(1, options.max_iter + 1):
-        u_next = step(u, system)
-        lo, hi = float(u_next.min()), float(u_next.max())
-        # a NaN minimum says nothing about the other entries' signs
-        record(u_next, k, lo < 0 or (math.isnan(lo) and bool(np.any(u_next < 0))))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DivergenceError(f"non-finite iterate at step {k}", trace=trace)
-        if float(np.max(np.abs(u_next - u))) <= options.tol:
-            trace.converged_at = k
-            trace.final = u_next
-            return trace
-        if k == 1 and (why := _cannot_converge(system)):
-            raise ConvergenceError(f"the iteration cannot converge: {why}", trace=trace)
-        if max(hi, -lo) > DIVERGENCE_LIMIT_MW:
-            raise DivergenceError(f"iteration diverged at step {k}", trace=trace)
-        u = u_next
-    raise ConvergenceError(
-        f"no convergence to tol={options.tol} within {options.max_iter} steps", trace=trace
-    )
+            # a ratio means something only while the error is well above the
+            # rounding resolution of the reference; below it the quotient drifts to 1
+            eps = np.finfo(float).eps
+            floor = max(10.0 * eps, 100.0 * math.sqrt(eps) * (1.0 + np.max(np.abs(reference))))
+            trace.error_history = errors = np.max(np.abs(stacked - reference), axis=1).tolist()
+            trace.contraction_ratios = [e / p if p > floor else None
+                                        for p, e in zip(errors, errors[1:])]

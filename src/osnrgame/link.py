@@ -151,6 +151,8 @@ class LinkNetwork:
     links: tuple[Link, ...]
 
     def __post_init__(self):
+        if not self.links:
+            raise ValidationError("a network needs at least one link")
         ids = [l.id for l in self.links]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate link ids")

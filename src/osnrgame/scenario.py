@@ -135,21 +135,25 @@ _NUMBER_TYPES = (int, float, np.integer, np.floating)
 _JSON_NUMBERS = {float: frozenset({int, float}), int: frozenset({int})}
 
 
-def _checked(value, where: str, kind, array=None):
+def _checked(value, where: str, kind, array=None, depth=None):
     """A JSON value for a field of type kind that holds an array of type
     array (tuple or np.ndarray) when array is set. A list for an ndarray
-    field becomes one array; any other array (at any depth) becomes a tuple.
-    A float or int field must hold numbers, integral ones for int (returned
-    as int). A dataclass field is built from its object; other kinds are
-    left to the class."""
+    field becomes one array; any other array becomes a tuple. A tuple field
+    takes lists nested exactly depth deep, an ndarray field at any depth
+    (depth None). A float or int field must hold numbers, integral ones for
+    int (returned as int). A dataclass field is built from its object; other
+    kinds are left to the class."""
     if array is np.ndarray and isinstance(value, list):
         numbers = _number_array(value)
         if numbers is not None:
             return numbers
-    if array and isinstance(value, list):
-        if set(map(type, value)) <= _JSON_NUMBERS.get(kind, frozenset()):
+    if array and isinstance(value, list) and depth != 0:
+        if depth in (1, None) and set(map(type, value)) <= _JSON_NUMBERS.get(kind, frozenset()):
             return tuple(value)
-        return tuple(_checked(v, where, kind, tuple) for v in value)
+        return tuple(_checked(v, where, kind, tuple, depth and depth - 1) for v in value)
+    if array is tuple and depth:
+        inner = "lists" if depth > 1 else _NOUNS[kind][1]
+        raise ScenarioError(f"{where} must be a list of {inner}, got {value!r}")
     if kind not in _NOUNS:
         return _build(kind, value, where) if is_dataclass(kind) else value
     if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES) or (
@@ -183,16 +187,18 @@ def _number_array(value: list) -> np.ndarray | None:
 def _fields(cls) -> dict[str, tuple]:
     """From the annotations of cls, for each field: the type of its scalars,
     the array type that holds them (tuple or np.ndarray; None for a scalar),
-    and the value types that need no check."""
+    how deep tuples nest (None unless array is tuple), and the types of the
+    scalars that need no check."""
     kinds = {}
     for name, hint in typing.get_type_hints(cls).items():
-        array = None
+        array, depth = None, 0
         while hint is np.ndarray or typing.get_args(hint):  # unwrap X | None, tuple[X, ...]
             container = np.ndarray if hint is np.ndarray else typing.get_origin(hint)
             if array is None and container in (np.ndarray, tuple):
                 array = container
+            depth += container is tuple
             hint = float if hint is np.ndarray else typing.get_args(hint)[0]
-        kinds[name] = (hint, array, _JSON_NUMBERS.get(hint, frozenset()))
+        kinds[name] = (hint, array, depth or None, _JSON_NUMBERS.get(hint, frozenset()))
     return kinds
 
 
@@ -211,9 +217,9 @@ def _build(cls, obj, where: str, **given):
     values = dict(given)
     for key, value in _object(obj, where).items():
         if key in kinds and key not in given:
-            kind, array, plain = kinds[key]
-            if type(value) not in plain:
-                value = _checked(value, f"{where}.{key}", kind, array)
+            kind, array, depth, plain = kinds[key]
+            if array or type(value) not in plain:
+                value = _checked(value, f"{where}.{key}", kind, array, depth)
             values[key] = value
     try:
         return cls(**values)
@@ -234,7 +240,7 @@ def _build_many(cls, objs: list) -> list | None:
         columns = [[obj[name] for obj in objs] for name in kinds]
     except KeyError:
         return None
-    for k, (column, (_, array, plain)) in enumerate(zip(columns, kinds.values())):
+    for k, (column, (_, array, _, plain)) in enumerate(zip(columns, kinds.values())):
         if array:  # a flat list of numbers per entry, held as a tuple
             if set(map(type, column)) != {list} or not set(
                 map(type, itertools.chain.from_iterable(column))
@@ -303,7 +309,7 @@ def _parse_partition(objs: list) -> tuple[PlayerParams | SeekerParams, ...]:
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         return _scenario_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
     except ValidationError as exc:
         raise ScenarioError(str(exc)) from exc

@@ -841,8 +841,11 @@ class TestCli:
              "error: partition[1].target_osnr_db is out of range, got 4000.0\n"),
             (lambda d: d["partition"][0].update(alpha=1e-300, beta=1e300),
              "error: channel 1: its row of A u = b is not finite\n"),
+            # a count past the index range; a large one that fits would allocate
+            (on_network(lambda d: d["network"]["links"][0].update(num_spans=1e308)),
+             "error: malformed scenario: cannot fit 'int' into an index-sized integer\n"),
         ],
-        ids=["target-overflows", "player-rhs-overflows"],
+        ids=["target-overflows", "player-rhs-overflows", "num-spans-overflows"],
     )
     def test_overflowing_value_is_an_input_error(self, mutate, message, tmp_path, capsys):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
@@ -926,6 +929,13 @@ class TestProcessEntry:
         assert main(["demo3"]) == 0
         assert proc.stdout == capsys.readouterr().out.encode()
 
+    def test_help_and_usage_keep_their_exit_codes(self, tmp_path):
+        help_ = cli_process(["-h"], tmp_path, subprocess.PIPE)
+        assert help_.returncode == 0 and help_.stdout.startswith(b"usage: osnrgame")
+        usage = cli_process(["solve"], tmp_path, subprocess.PIPE)
+        assert usage.returncode == 2 and usage.stdout == b""
+        assert b"error: the following arguments are required: scenario" in usage.stderr
+
     @pytest.mark.parametrize(
         "argv, sink",
         [
@@ -934,8 +944,11 @@ class TestProcessEntry:
             (["gamma", "scenario.json"], "/dev/full"),
             (["demo30", "--format", "csv"], "closed pipe"),
             (["gamma", "scenario.json"], "closed pipe"),
+            (["-h"], "/dev/full"),
+            (["solve", "-h"], "/dev/full"),
         ],
-        ids=["demo3-full", "check-full", "gamma-full", "demo30-csv-pipe", "gamma-pipe"],
+        ids=["demo3-full", "check-full", "gamma-full", "demo30-csv-pipe", "gamma-pipe",
+             "help-full", "solve-help-full"],
     )
     def test_unwritable_stdout_is_an_output_failure(self, argv, sink, tmp_path):
         # a short report sits in the stdout buffer until the interpreter's last
@@ -983,6 +996,31 @@ class TestDemoScenarios:
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "scenario.schema.json"
 DOC_FIXTURES = {k: v for k, v in list(globals().items()) if k.endswith("_DOC")}
+
+
+# Parser rules the schema cannot state, each by the message it rejects with
+PARSER_ONLY = {
+    "square gamma": r"^gamma must be square$",
+    "n0 length": r"^n0 length must match gamma dimension$",
+    "ragged rows": r"^malformed scenario: setting an array element with a sequence\.",
+    "duplicate link ids": r"^duplicate link ids$",
+    "target overflows": r"^partition\[\d+\]\.target_osnr_db is out of range, got ",
+    "target underflows": r"^gamma must be > 0$",
+    "num_spans beyond the index range":
+        r"^malformed scenario: cannot fit 'int' into an index-sized integer$",
+}
+# values a mutation puts in place; no large finite integer, which as a span
+# count would allocate that many spans (1e308 is past the index range)
+PARITY_POOL = (0, 1, 2, -1, 0.5, 1e308, 4000.0, -4000.0, True, None, "x", "seeker",
+               [], [1], [0.5, 2], {})
+
+
+def places_in(doc):
+    """(container, key) of every value below doc, depth first."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from places_in(value)
 
 
 @pytest.fixture(scope="module")
@@ -1064,6 +1102,21 @@ class TestSchemaParity:
                          id="channel-id-str"),
             pytest.param(on_network(lambda d: d["channels"][1].update(route=["2"])),
                          id="route-str"),
+            # a tuple field takes a list nested exactly as deep as its annotation
+            pytest.param(on_network(lambda d: d["channels"][1].update(route=1)), id="route-int"),
+            pytest.param(on_network(lambda d: d["channels"][1].update(route=[[1]])),
+                         id="route-nested"),
+            pytest.param(on_network(lambda d: d["channels"][1].update(route=[[]])),
+                         id="route-nested-empty"),
+            # an empty list
+            pytest.param(lambda d: d.update(partition=[]), id="partition-empty"),
+            pytest.param(on_network(lambda d: d.update(channels=[])), id="channels-empty"),
+            pytest.param(on_network(lambda d: d["network"].update(links=[])), id="links-empty"),
+            pytest.param(on_network(lambda d: d["network"].update(links={})),
+                         id="links-object"),
+            pytest.param(lambda d: d["matrix"].update(gamma=[]), id="gamma-empty"),
+            pytest.param(lambda d: d["matrix"]["gamma"][0].clear(), id="gamma-row-empty"),
+            pytest.param(lambda d: d["matrix"].update(n0=[]), id="n0-empty"),
         ],
     )
     def test_malformed_rejected_by_both(self, mutate, schema_validator):
@@ -1148,6 +1201,42 @@ class TestSchemaParity:
         max_iter = scenario_from_dict(doc).run.max_iter
         assert max_iter == 100 and type(max_iter) is int
 
+    @given(
+        name=st.sampled_from(sorted(DOC_FIXTURES)),
+        change=st.sampled_from(["replace", "delete", "add"]),
+        at=st.integers(min_value=0, max_value=10_000),
+        value=st.sampled_from(PARITY_POOL),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_one_mutation_gets_one_verdict(self, name, change, at, value, schema_validator):
+        """A fixture with one value replaced from the pool, one key deleted
+        or one unknown key added is accepted or rejected by both, except
+        where a parser-only rule rejects it."""
+        doc = json.loads(json.dumps(DOC_FIXTURES[name]))
+        value = json.loads(json.dumps(value))
+        places = list(places_in(doc))
+        if change == "add":
+            objects = [doc] + [c[k] for c, k in places if isinstance(c[k], dict)]
+            objects[at % len(objects)]["unknown"] = value
+        elif change == "delete":
+            keys = [(c, k) for c, k in places if isinstance(c, dict)]
+            container, key = keys[at % len(keys)]
+            del container[key]
+        else:
+            container, key = places[at % len(places)]
+            container[key] = value
+        try:
+            scenario_from_dict(doc)  # any rejection but a ScenarioError fails here
+            parser_message = None
+        except ScenarioError as exc:
+            parser_message = str(exc)
+        valid = schema_validator.is_valid(doc)
+        if valid and parser_message is not None:
+            assert any(re.search(rule, parser_message) for rule in PARSER_ONLY.values()), (
+                parser_message)
+        else:
+            assert valid == (parser_message is None)
+
 
 def ten_channel_network():
     """Ten channels on two links, five players then five seekers."""
@@ -1222,6 +1311,11 @@ class TestParserMessages:
             pytest.param(mutated(ten_channel_network,
                                  lambda d: d["channels"][5].update(route=["2"])),
                          "channels[5].route must be integers, got '2'", id="route-str"),
+            pytest.param(mutated(ten_channel_network, lambda d: d["channels"][5].update(route=2)),
+                         "channels[5].route must be a list of integers, got 2", id="route-int"),
+            pytest.param(mutated(ten_channel_network,
+                                 lambda d: d["channels"][5].update(route=[[1], [2]])),
+                         "channels[5].route must be integers, got [1]", id="route-nested"),
             pytest.param(mutated(ten_channel_network, lambda d: d["channels"].__setitem__(5, 5)),
                          "channels[5] must be an object, got 5", id="channel-int"),
             pytest.param(mutated(ten_channel_network,
