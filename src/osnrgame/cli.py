@@ -19,7 +19,7 @@ import sys
 from . import direct as direct_mod
 from .errors import NumericalError, OutputError, ValidationError
 from .model import assemble
-from .run import emit, execute, write_json
+from .run import emit, execute, write_json, write_text
 from .scenario import RunOptions, demo3_scenario, demo30_scenario, load_scenario
 
 RUN_FIELDS = frozenset(f.name for f in dataclasses.fields(RunOptions))
@@ -65,8 +65,18 @@ COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write of its own output; help for stdout
+        # goes through write_text, whose OutputError main reports
+        if message and file is sys.stdout:
+            write_text(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="osnrgame",
         description="Power allocation for mixed game-player/target-seeker WDM links",
     )
@@ -101,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # help and usage leave by SystemExit
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -121,17 +131,10 @@ def entry() -> None:
     # numpy's and scipy's): the collector then never walks them again, and
     # the interpreter's exit skips their teardown, about 50 ms of a process.
     gc.freeze()
-    try:
-        status = main()
-    except SystemExit as exc:  # argparse's help or usage, whose output is still buffered
-        status = exc.code
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        if status != 3:  # main has not reported the failed write
-            print(f"output failure: cannot write stdout: {exc}", file=sys.stderr)
-            status = 3
-        # the unwritten output would make the interpreter's own flush at exit
+    status = main()
+    if status == 3:
+        # every write to stdout flushes, so main has reported any failed one;
+        # its unwritten output would make the interpreter's own flush at exit
         # fail again, so send it nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(status)

@@ -30,7 +30,8 @@ class IterationTrace:
     contraction_ratios: list[float | None] = field(default_factory=list)
     negative_steps: list[int] = field(default_factory=list)
     converged_at: int | None = None
-    final: np.ndarray | None = None
+    # the converged iterate; a report states it once, as solution.u
+    final: np.ndarray | None = field(default=None, metadata={"json": False})
 
 
 def step(u: np.ndarray, system: ChannelSystem) -> np.ndarray:

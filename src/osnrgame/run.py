@@ -1,11 +1,12 @@
 """Solver orchestration and machine-readable report output.
 
 The auto route solves the channel-ordered system directly whenever its
-matrix factors cleanly, attaches the power bounds, and cross-checks with
-the distributed iteration when the contraction factor permits; a failed
-cross-check keeps the direct answer and reports its partial trace. A
-singular or explicitly flagged infeasible instance falls back to the
-constrained least-squares solve.
+matrix factors cleanly, attaches the power bounds, and reports the
+contraction factor sigma, which certifies the distributed iteration when it
+is under 1. A singular or explicitly flagged infeasible instance falls back
+to the constrained least-squares solve. Only the iterative route (the
+`iterate` command and the demos) runs the distributed iteration, and it
+reports the trace.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import direct as direct_mod
 from . import iterate as iterate_mod
 from . import qp as qp_mod
 from .direct import BoundsReport, FeasibilityReport, Solution
-from .errors import ConvergenceError, DivergenceError, OutputError
+from .errors import OutputError
 from .iterate import IterationTrace
 from .link import SystemMatrix
 from .model import assemble, osnr, to_db
@@ -36,8 +37,8 @@ class RunReport:
     feasibility: FeasibilityReport
     bounds: BoundsReport | None
     solution: Solution | QpResult | None
-    trace: IterationTrace | None
-    sigma: float | None
+    trace: IterationTrace | None  # the iterative route's; None on the others
+    sigma: float | None  # the contraction factor; None on the qp route
     power_limit_violations: list[str]
     timing_s: dict[str, float]
     # the coupling matrix solved on; the CSV trace derives its OSNRs from it
@@ -71,7 +72,6 @@ def execute(scenario: Scenario) -> RunReport:
     bounds = None
     solution: Solution | QpResult | None = None
     trace = None
-    sigma = None
     path = opts.solver
 
     t0 = time.perf_counter()
@@ -79,21 +79,14 @@ def execute(scenario: Scenario) -> RunReport:
         path = "qp"
         solution = qp_mod.solve_qp(system)
     elif opts.solver == "iterative":
-        reference = direct_mod.solve_dsnp(system).u if feas.nonsingular else None
-        sigma = iterate_mod.convergence_rate(system)
+        reference = system.equality_solution() if feas.nonsingular else None
         trace = iterate_mod.run(system, opts, reference=reference)
         solution = direct_mod.verify(trace.final, system)
-    else:  # direct, and under auto the cross-check when the update contracts
+    else:  # direct and auto: sigma < 1 certifies the iteration, which would only re-derive u
         path = "direct"
         solution = direct_mod.solve_dsnp(system)
         bounds = direct_mod.power_bounds(system)
-        if opts.solver == "auto" and (sigma := iterate_mod.convergence_rate(system)) < 1.0:
-            try:
-                trace = iterate_mod.run(system, opts, reference=solution.u)
-            except (ConvergenceError, DivergenceError) as exc:
-                # the cross-check failed; the verified direct answer stands,
-                # and the partial trace (converged_at null) shows how far it got
-                trace = exc.trace
+    sigma = None if path == "qp" else iterate_mod.convergence_rate(system)
     timing["solve"] = time.perf_counter() - t0
 
     violations = _limit_violations(scenario, np.asarray(solution.u))

@@ -36,6 +36,7 @@ from .link import (
 from .model import PlayerParams, SeekerParams, ServicePartition
 
 DEFAULT_SPANS = 5
+MAX_SPANS = 1000
 DEFAULT_CENTER_NM = 1555.0
 DEFAULT_SPACING_NM = 1.0
 DEFAULT_TX_NOISE_MW = 0.005  # 0.5% of a 1 mW reference input
@@ -264,7 +265,10 @@ def _parse_link(obj, where: str) -> Link:
     if "spans" in _object(obj, where):
         spans = [_parse_span(s, f"{where}.spans[{k}]") for k, s in enumerate(obj["spans"])]
     else:
-        count = _checked(obj.get("num_spans", DEFAULT_SPANS), f"{where}.num_spans", int)
+        raw = obj.get("num_spans", DEFAULT_SPANS)
+        count = _checked(raw, f"{where}.num_spans", int)
+        if count > MAX_SPANS:  # checked before the list of that many is built
+            raise ScenarioError(f"{where}.num_spans must be <= {MAX_SPANS}, got {raw!r}")
         spans = [_parse_span(obj.get("span", {}), f"{where}.span")] * count
     return _build(Link, obj, where, spans=tuple(spans))
 
@@ -400,7 +404,7 @@ def demo3_scenario() -> Scenario:
             {"role": "player", "alpha": 1.0, "beta": 3.0, "a": 0.1},
             {"role": "seeker", "target_osnr_db": 20.0},
         ],
-        "run": {"tol": 1e-10},
+        "run": {"solver": "iterative", "tol": 1e-10},
     })
 
 
@@ -420,5 +424,5 @@ def demo30_scenario() -> Scenario:
         "network": {"links": [{"id": 1, "output_power_mW": 200.0, "span": span}]},
         "channels": [{"id": k + 1} for k in range(30)],
         "partition": partition,
-        "run": {"tol": 1e-10},
+        "run": {"solver": "iterative", "tol": 1e-10},
     })

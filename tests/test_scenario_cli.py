@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import gc
+import io
+import itertools
 import json
 import math
 import os
@@ -272,9 +275,8 @@ class TestExecute:
         assert report.solution.u == pytest.approx([35 / 47, 60 / 47], rel=1e-10)
         assert report.bounds is not None
         assert report.sigma == pytest.approx(0.2 / 0.9, rel=1e-12)
-        # contraction holds, so the cross-check trace is attached and agrees
-        assert report.trace is not None
-        assert report.trace.final == pytest.approx(report.solution.u, abs=1e-7)
+        # sigma < 1 certifies the iteration; only the iterative solver runs it
+        assert report.trace is None
 
     def test_singular_routes_to_qp(self):
         report = execute(scenario_from_dict(SINGULAR_DOC))
@@ -293,16 +295,15 @@ class TestExecute:
         assert report.trace.converged_at is not None
         assert report.solution.u == pytest.approx([35 / 47, 60 / 47], abs=1e-8)
 
-    def test_failed_cross_check_keeps_direct_answer(self):
-        doc = json.loads(json.dumps(FIXTURE_A_DOC))
-        doc["run"] = {"max_iter": 2}
-        report = execute(scenario_from_dict(doc))
-        assert report.path_taken == "direct"
-        assert report.solution.u == pytest.approx([35 / 47, 60 / 47], rel=1e-10)
-        # the partial trace of the iteration that ran out of steps
-        assert report.trace.converged_at is None
-        assert report.trace.final is None
-        assert len(report.trace.error_history) == 3
+    def test_direct_route_ignores_max_iter(self):
+        # two steps could not reach tol, but auto and direct do not iterate
+        for solver in ("auto", "direct"):
+            doc = {**FIXTURE_A_DOC, "run": {"solver": solver, "max_iter": 2}}
+            report = execute(scenario_from_dict(doc))
+            assert report.path_taken == "direct"
+            assert report.solution.u == pytest.approx([35 / 47, 60 / 47], rel=1e-10)
+            assert report.sigma == pytest.approx(0.2 / 0.9, rel=1e-12)
+            assert report.trace is None
 
     def test_power_limit_violations(self):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
@@ -343,13 +344,17 @@ class TestEmit:
 
     def test_report_leaves_out_gamma_and_per_step_arrays(self, tmp_path):
         out = tmp_path / "out.json"
-        emit(execute(scenario_from_dict(FIXTURE_A_DOC)), out_path=str(out))
+        report = execute(scenario_from_dict({**FIXTURE_A_DOC, "run": {"solver": "iterative"}}))
+        emit(report, out_path=str(out))
         doc = orjson.loads(out.read_bytes())
         assert "gamma" not in doc and "n0" not in doc
+        # the converged iterate is stated once, as solution.u
         assert set(doc["trace"]) == {
-            "converged_at", "final", "error_history", "contraction_ratios", "negative_steps",
+            "converged_at", "error_history", "contraction_ratios", "negative_steps",
         }
         assert len(doc["trace"]["error_history"]) == doc["trace"]["converged_at"] + 1
+        assert np.array_equal(report.trace.final, report.solution.u)
+        assert doc["solution"]["u"] == report.trace.final.tolist()
 
     def test_timing_opt_in(self, tmp_path):
         out = tmp_path / "out.json"
@@ -473,18 +478,21 @@ class TestCli:
 
     def test_non_positive_denominator_names_the_channel_from_one(self, tmp_path, capsys):
         # the second player's power is driven to -111 mW, so its OSNR
-        # denominator n0 + (Gamma u)_2 is -44.4
-        doc = {
-            "matrix": {"gamma": [[0.1, 0.01], [1.0, 0.5]], "n0": [0.01, 0.01]},
-            "partition": [
-                {"role": "player", "alpha": 1.0, "beta": 10.0, "a": 1.0},
-                {"role": "player", "alpha": 1.0, "beta": 0.1, "a": 0.1},
-            ],
-            "run": {"solver": "direct"},
-        }
-        assert main(["solve", write_doc(tmp_path, doc)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: channel 2: non-positive OSNR denominator -44.")
+        # denominator n0 + (Gamma u)_2 is -44.4; the iteration converges there
+        # (rho(J) = 0.32), and its last iterate fails the same way
+        for solver in ("direct", "iterative"):
+            doc = {
+                "matrix": {"gamma": [[0.1, 0.01], [1.0, 0.5]], "n0": [0.01, 0.01]},
+                "partition": [
+                    {"role": "player", "alpha": 1.0, "beta": 10.0, "a": 1.0},
+                    {"role": "player", "alpha": 1.0, "beta": 0.1, "a": 0.1},
+                ],
+                "run": {"solver": solver},
+            }
+            assert main(["solve", write_doc(tmp_path, doc)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                "numerical failure: channel 2: non-positive OSNR denominator -44.")
 
     def test_check_command(self, tmp_path, capsys):
         path = write_doc(tmp_path, FIXTURE_A_DOC)
@@ -529,7 +537,7 @@ class TestCli:
         assert main(["solve", write_doc(tmp_path, doc)]) == 2
 
     def test_zero_diagonal_solve_reports_the_direct_answer(self, tmp_path, capsys):
-        # the update is undefined, so sigma is null and nothing is cross-checked
+        # the update is undefined: sigma is inf, written as null
         assert main(["solve", write_doc(tmp_path, ZERO_DIAGONAL_DOC)]) == 0
         out = capsys.readouterr().out
         doc = {**ZERO_DIAGONAL_DOC, "run": {"solver": "direct"}}
@@ -593,7 +601,9 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_report_states_each_fact_once(self, command, monkeypatch, capsys):
-        monkeypatch.setattr("osnrgame.cli.load_scenario", lambda path: demo3_scenario())
+        # the demo3 network under the auto solver, which reports bounds
+        auto = dataclasses.replace(demo3_scenario(), run=RunOptions())
+        monkeypatch.setattr("osnrgame.cli.load_scenario", lambda path: auto)
         assert main([command, "demo3.json"]) == 0
         report = orjson.loads(capsys.readouterr().out)
         assert set(report["feasibility"]) == {
@@ -637,12 +647,12 @@ class TestCli:
         assert lines[0] == "step,channel,u_mW,osnr_dB,err_inf"
         assert len(lines) > 30
 
-    def test_demo30_short_cross_check_exits_zero(self, capsys):
-        assert main(["demo30", "--max-iter", "2"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["path_taken"] == "direct"
-        assert doc["trace"]["converged_at"] is None
-        assert len(doc["solution"]["u"]) == 30
+    def test_demo30_short_run_exits_2(self, capsys):
+        # the demos run the iteration, so a cap it cannot meet is a numerical failure
+        assert main(["demo30", "--max-iter", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "numerical failure: no convergence to tol=1e-10 within 2 steps\n"
 
     def test_demo30_zero_start_is_clean(self, tmp_path):
         # the real CLI process, so any warning would reach its stderr
@@ -653,31 +663,37 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stderr == ""
         doc = json.loads(proc.stdout)
-        assert doc["path_taken"] == "direct"
+        assert doc["path_taken"] == "iterative"
         assert doc["trace"]["converged_at"] is not None
         assert doc["trace"]["negative_steps"] == []
 
     def test_negative_powers_are_reported_not_warned(self, tmp_path):
-        # three passes in one long-lived process: a warning would reach stderr
-        # at least once, and again on each pass the registry is reset
+        # three passes of each route in one long-lived process: a warning would
+        # reach stderr at least once, and again on each pass the registry is reset
         path = write_doc(tmp_path, NEGATIVE_DOC)
-        script = ("import sys\n"
+        script = ("import dataclasses, sys\n"
                   "from osnrgame import emit, execute, load_scenario\n"
-                  "scenario = load_scenario(sys.argv[1])\n"
+                  "from osnrgame.scenario import RunOptions\n"
+                  "auto = load_scenario(sys.argv[1])\n"
+                  "iterative = dataclasses.replace(auto, run=RunOptions(solver='iterative'))\n"
                   "for k in range(3):\n"
-                  "    emit(execute(scenario), out_path=f'report{k}.json')\n")
+                  "    emit(execute(auto), out_path=f'direct{k}.json')\n"
+                  "    emit(execute(iterative), out_path=f'iterative{k}.json')\n")
         proc = subprocess.run(
             [sys.executable, "-W", "default", "-c", script, path],
             cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert "Warning" not in proc.stderr
-        for k in range(3):
-            doc = orjson.loads((tmp_path / f"report{k}.json").read_bytes())
-            assert doc["path_taken"] == "direct"
+        for k, path_taken in itertools.product(range(3), ["direct", "iterative"]):
+            doc = orjson.loads((tmp_path / f"{path_taken}{k}.json").read_bytes())
+            assert doc["path_taken"] == path_taken
             assert doc["solution"]["u"] == pytest.approx([-0.5], rel=1e-14)
             assert doc["solution"]["nonnegative"] is False
-            assert doc["trace"]["negative_steps"] == [1, 2]
+            if path_taken == "direct":  # auto does not iterate
+                assert doc["trace"] is None
+            else:
+                assert doc["trace"]["negative_steps"] == [1, 2]
 
     @pytest.mark.parametrize(
         "argv",
@@ -800,7 +816,7 @@ class TestCli:
 
     def test_demo_flags_override_the_built_in_options(self, monkeypatch):
         assert self.executed_run_options(["demo3", "--u0", "0.3"], monkeypatch) == {
-            "solver": "auto", "tol": 1e-10, "max_iter": DEFAULT_MAX_ITER, "u0": [0.3],
+            "solver": "iterative", "tol": 1e-10, "max_iter": DEFAULT_MAX_ITER, "u0": [0.3],
             "strict_nonnegative": False}
 
     def test_infinite_u0_in_scenario_is_an_input_error(self, tmp_path, capsys):
@@ -841,11 +857,14 @@ class TestCli:
              "error: partition[1].target_osnr_db is out of range, got 4000.0\n"),
             (lambda d: d["partition"][0].update(alpha=1e-300, beta=1e300),
              "error: channel 1: its row of A u = b is not finite\n"),
-            # a count past the index range; a large one that fits would allocate
+            # a span count is bounded before that many spans are allocated
             (on_network(lambda d: d["network"]["links"][0].update(num_spans=1e308)),
-             "error: malformed scenario: cannot fit 'int' into an index-sized integer\n"),
+             "error: network.links[0].num_spans must be <= 1000, got 1e+308\n"),
+            (on_network(lambda d: d["network"]["links"][0].update(num_spans=1001)),
+             "error: network.links[0].num_spans must be <= 1000, got 1001\n"),
         ],
-        ids=["target-overflows", "player-rhs-overflows", "num-spans-overflows"],
+        ids=["target-overflows", "player-rhs-overflows", "num-spans-overflows",
+             "num-spans-above-bound"],
     )
     def test_overflowing_value_is_an_input_error(self, mutate, message, tmp_path, capsys):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
@@ -900,9 +919,12 @@ class TestCli:
         assert outs[0] == outs[1]
 
 
-def cli_process(argv, cwd, stdout):
-    """`python -m osnrgame.cli ARGV` as a shell runs it, with stdout block-buffered."""
+def cli_process(argv, cwd, stdout, unbuffered=False):
+    """`python -m osnrgame.cli ARGV` as a shell runs it, with stdout
+    block-buffered, or unbuffered as under PYTHONUNBUFFERED=1."""
     env = {k: v for k, v in subprocess_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "osnrgame.cli", *argv], cwd=cwd, env=env,
                           stdout=stdout, stderr=subprocess.PIPE, timeout=120)
 
@@ -946,19 +968,24 @@ class TestProcessEntry:
             (["gamma", "scenario.json"], "closed pipe"),
             (["-h"], "/dev/full"),
             (["solve", "-h"], "/dev/full"),
+            # argparse drops a failed write of its help when stdout is unbuffered
+            (["-h"], "/dev/full unbuffered"),
+            (["demo3"], "/dev/full unbuffered"),
         ],
         ids=["demo3-full", "check-full", "gamma-full", "demo30-csv-pipe", "gamma-pipe",
-             "help-full", "solve-help-full"],
+             "help-full", "solve-help-full", "help-full-unbuffered", "demo3-full-unbuffered"],
     )
     def test_unwritable_stdout_is_an_output_failure(self, argv, sink, tmp_path):
         # a short report sits in the stdout buffer until the interpreter's last
         # flush, a long one fails at its write
         write_doc(tmp_path, FIXTURE_A_DOC)
+        unbuffered = sink.endswith(" unbuffered")
+        sink = sink.removesuffix(" unbuffered")
         if sink == "/dev/full":
             if not os.path.exists(sink):
                 pytest.skip("no /dev/full")
             with open(sink, "wb") as full:
-                proc = cli_process(argv, tmp_path, full)
+                proc = cli_process(argv, tmp_path, full, unbuffered)
         else:
             read_end, write_end = os.pipe()
             os.close(read_end)
@@ -974,8 +1001,11 @@ class TestProcessEntry:
 
 class TestDemoScenarios:
     def test_demo3_report(self):
+        # the demos show the distributed iteration, and report its converged trace
         report = execute(demo3_scenario())
-        assert report.path_taken == "direct"
+        assert report.path_taken == "iterative"
+        assert report.trace.converged_at is not None
+        assert report.bounds is None
         dbs = report.solution.osnr_db
         # both players clear the seeker's 20 dB target; the seeker sits on it
         assert dbs[0] > 20.0 and dbs[1] > 20.0
@@ -986,7 +1016,9 @@ class TestDemoScenarios:
 
     def test_demo30_report(self):
         report = execute(demo30_scenario())
-        assert report.path_taken == "direct"
+        assert report.path_taken == "iterative"
+        assert report.trace.converged_at is not None
+        assert report.bounds is None
         assert len(report.solution.u) == 30
         for k in range(20, 30):
             assert report.solution.osnr_db[k] == pytest.approx(20.0, abs=0.01)
@@ -1006,12 +1038,10 @@ PARSER_ONLY = {
     "duplicate link ids": r"^duplicate link ids$",
     "target overflows": r"^partition\[\d+\]\.target_osnr_db is out of range, got ",
     "target underflows": r"^gamma must be > 0$",
-    "num_spans beyond the index range":
-        r"^malformed scenario: cannot fit 'int' into an index-sized integer$",
 }
-# values a mutation puts in place; no large finite integer, which as a span
-# count would allocate that many spans (1e308 is past the index range)
-PARITY_POOL = (0, 1, 2, -1, 0.5, 1e308, 4000.0, -4000.0, True, None, "x", "seeker",
+# values a mutation puts in place; a span count above 1000 is rejected
+# before that many spans are allocated
+PARITY_POOL = (0, 1, 2, -1, 0.5, 10**9, 1e308, 4000.0, -4000.0, True, None, "x", "seeker",
                [], [1], [0.5, 2], {})
 
 
@@ -1063,6 +1093,8 @@ class TestSchemaParity:
                          id="route-empty"),
             pytest.param(on_network(lambda d: d["network"]["links"][1].update(spans=[])),
                          id="spans-empty"),
+            pytest.param(on_network(lambda d: d["network"]["links"][0].update(num_spans=1001)),
+                         id="num-spans-above-bound"),
             pytest.param(on_network(lambda d: first_span(d).update(gain={"peak_gain_dB": 0})),
                          id="peak-gain-zero"),
             # a sub-document that is not an object
@@ -1131,6 +1163,12 @@ class TestSchemaParity:
         doc["network"]["links"][0]["num_spans"] = 2.0
         schema_validator.validate(doc)
         assert len(scenario_from_dict(doc).network.links[0].spans) == 2
+
+    def test_largest_num_spans_accepted_by_both(self, schema_validator):
+        doc = json.loads(json.dumps(NETWORK_DOC))
+        doc["network"]["links"][0]["num_spans"] = 1000
+        schema_validator.validate(doc)
+        assert len(scenario_from_dict(doc).network.links[0].spans) == 1000
 
     def test_zero_matrix_noise_accepted_by_both(self, schema_validator):
         # a network with tx_noise_mW 0 yields n0 = 0 as well
@@ -1211,7 +1249,8 @@ class TestSchemaParity:
     def test_one_mutation_gets_one_verdict(self, name, change, at, value, schema_validator):
         """A fixture with one value replaced from the pool, one key deleted
         or one unknown key added is accepted or rejected by both, except
-        where a parser-only rule rejects it."""
+        where a parser-only rule rejects it. A rejected document exits 1
+        through the CLI with one error line."""
         doc = json.loads(json.dumps(DOC_FIXTURES[name]))
         value = json.loads(json.dumps(value))
         places = list(places_in(doc))
@@ -1230,6 +1269,13 @@ class TestSchemaParity:
             parser_message = None
         except ScenarioError as exc:
             parser_message = str(exc)
+        if parser_message is not None:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = write_doc(pathlib.Path(tmp), doc)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["solve", path])  # any other exception fails here
+            assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {parser_message}\n")
         valid = schema_validator.is_valid(doc)
         if valid and parser_message is not None:
             assert any(re.search(rule, parser_message) for rule in PARSER_ONLY.values()), (
