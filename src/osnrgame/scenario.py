@@ -102,13 +102,14 @@ class Scenario:
 
     def __post_init__(self):
         if (self.matrix is None) == (self.network is None):
-            raise ScenarioError("exactly one of matrix/network must be given")
+            raise ScenarioError("scenario must contain exactly one of 'matrix'/'network'")
         if self.network is not None and not self.channels:
-            raise ScenarioError("a network scenario needs channel specs")
-        n = self.matrix.size if self.matrix is not None else len(self.channels)
-        if self.partition.size != n:
+            raise ScenarioError("network scenario requires a 'channels' list")
+        if not self.partition.size:
+            raise ScenarioError("scenario requires a 'partition' list")
+        if self.partition.size != self.size:
             raise ScenarioError(
-                f"partition covers {self.partition.size} channels, scenario has {n}"
+                f"partition covers {self.partition.size} channels, scenario has {self.size}"
             )
         for name in ("min_mW", "max_mW"):
             value, where = getattr(self, f"power_{name}"), f"power_limits.{name}"
@@ -262,14 +263,17 @@ def _parse_span(obj, where: str) -> Span:
 
 
 def _parse_link(obj, where: str) -> Link:
-    if "spans" in _object(obj, where):
-        spans = [_parse_span(s, f"{where}.spans[{k}]") for k, s in enumerate(obj["spans"])]
-    else:
-        raw = obj.get("num_spans", DEFAULT_SPANS)
-        count = _checked(raw, f"{where}.num_spans", int)
-        if count > MAX_SPANS:  # checked before the list of that many is built
-            raise ScenarioError(f"{where}.num_spans must be <= {MAX_SPANS}, got {raw!r}")
+    """The link of obj; spans, when given, replaces the num_spans copies of span."""
+    raw = _object(obj, where).get("num_spans", DEFAULT_SPANS)
+    count = _checked(raw, f"{where}.num_spans", int)
+    if count > MAX_SPANS:  # checked before the list of that many is built
+        raise ScenarioError(f"{where}.num_spans must be <= {MAX_SPANS}, got {raw!r}")
+    if count < 1:
+        raise ScenarioError(f"{where}.num_spans must be >= 1, got {raw!r}")
+    if "span" in obj or "spans" not in obj:  # the template, only when given or used
         spans = [_parse_span(obj.get("span", {}), f"{where}.span")] * count
+    if "spans" in obj:
+        spans = [_parse_span(s, f"{where}.spans[{k}]") for k, s in enumerate(obj["spans"])]
     return _build(Link, obj, where, spans=tuple(spans))
 
 
@@ -320,22 +324,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def _scenario_from_dict(doc: dict) -> Scenario:
-    matrix = network = None
-    channels: tuple[ChannelSpec, ...] = ()
-
-    if ("matrix" in doc) == ("network" in doc):
-        raise ScenarioError("scenario must contain exactly one of 'matrix'/'network'")
-
-    if "matrix" in doc:
-        matrix = _build(SystemMatrix, doc["matrix"], "matrix")
-    else:
+    matrix = _build(SystemMatrix, doc["matrix"], "matrix") if "matrix" in doc else None
+    network, channels = None, ()
+    if "network" in doc:  # channels are read only with a network
         net = _object(doc["network"], "network")
         network = LinkNetwork(links=tuple(
             _parse_link(l, f"network.links[{k}]") for k, l in enumerate(net["links"])
         ))
-        raw_channels = doc.get("channels")
-        if not raw_channels:
-            raise ScenarioError("network scenario requires a 'channels' list")
+        raw_channels = doc.get("channels") or []
         center = _checked(net.get("center_nm", DEFAULT_CENTER_NM), "network.center_nm", float)
         spacing = _checked(net.get("spacing_nm", DEFAULT_SPACING_NM), "network.spacing_nm", float)
         grid = wavelength_grid(len(raw_channels), center_nm=center, spacing_nm=spacing)
@@ -345,16 +341,11 @@ def _scenario_from_dict(doc: dict) -> Scenario:
         channels = tuple(_build_many(ChannelSpec, objs) or [
             _build(ChannelSpec, c, f"channels[{k}]") for k, c in enumerate(objs)
         ])
-
-    raw_partition = doc.get("partition")
-    if not raw_partition:
-        raise ScenarioError("scenario requires a 'partition' list")
-    roles = _parse_partition(raw_partition)
-
+    roles = _parse_partition(doc.get("partition") or [])
     limits = _object(doc.get("power_limits", {}), "power_limits")
     return Scenario(
         partition=ServicePartition(roles=roles),
-        run=_build(RunOptions, doc["run"], "run") if "run" in doc else RunOptions(),
+        run=_build(RunOptions, doc.get("run", {}), "run"),
         matrix=matrix,
         network=network,
         channels=channels,

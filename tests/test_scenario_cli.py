@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osnrgame
-from osnrgame import execute, load_scenario
+from osnrgame import ServicePartition, execute, load_scenario
 from osnrgame.cli import main
 from osnrgame.direct import Solution
 from osnrgame.errors import EvaluationError, InfeasibleError, ScenarioError
@@ -32,6 +32,7 @@ from osnrgame.scenario import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     RunOptions,
+    Scenario,
     demo3_scenario,
     demo30_scenario,
     scenario_from_dict,
@@ -1043,6 +1044,10 @@ PARSER_ONLY = {
 # before that many spans are allocated
 PARITY_POOL = (0, 1, 2, -1, 0.5, 10**9, 1e308, 4000.0, -4000.0, True, None, "x", "seeker",
                [], [1], [0.5, 2], {})
+# keys a mutation adds: an unknown one, and schema keys the parser reads
+# only in some documents or objects (channels with a network; num_spans and
+# span beside spans)
+PARITY_KEYS = ("unknown", "num_spans", "span", "spans", "channels")
 
 
 def places_in(doc):
@@ -1097,6 +1102,17 @@ class TestSchemaParity:
                          id="num-spans-above-bound"),
             pytest.param(on_network(lambda d: first_span(d).update(gain={"peak_gain_dB": 0})),
                          id="peak-gain-zero"),
+            # num_spans and span are checked also on a link that gives spans
+            pytest.param(on_network(lambda d: d["network"]["links"][1].update(num_spans=5000)),
+                         id="spans-with-num-spans-above-bound"),
+            pytest.param(on_network(lambda d: d["network"]["links"][1].update(num_spans="x")),
+                         id="spans-with-num-spans-str"),
+            pytest.param(on_network(lambda d: d["network"]["links"][1].update(num_spans=0)),
+                         id="spans-with-num-spans-zero"),
+            pytest.param(on_network(lambda d: d["network"]["links"][1].update(
+                span={"loss_dB": -1})), id="spans-with-span-negative-loss"),
+            pytest.param(on_network(lambda d: d["network"]["links"][1].update(span=5)),
+                         id="spans-with-span-int"),
             # a sub-document that is not an object
             pytest.param(lambda d: d.update(run=5), id="run-int"),
             pytest.param(lambda d: d.update(power_limits=[1]), id="power-limits-list"),
@@ -1170,6 +1186,13 @@ class TestSchemaParity:
         schema_validator.validate(doc)
         assert len(scenario_from_dict(doc).network.links[0].spans) == 1000
 
+    @pytest.mark.parametrize("channels", [[{"id": "x"}], 5, []], ids=["id-str", "int", "empty"])
+    def test_matrix_document_channels_ignored_by_both(self, channels, schema_validator):
+        # channels are read only with a network
+        doc = {**FIXTURE_A_DOC, "channels": channels}
+        schema_validator.validate(doc)
+        assert scenario_from_dict(doc).channels == ()
+
     def test_zero_matrix_noise_accepted_by_both(self, schema_validator):
         # a network with tx_noise_mW 0 yields n0 = 0 as well
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
@@ -1200,6 +1223,9 @@ class TestSchemaParity:
                             collect(definition, name)
                     elif key == "items":
                         collect(sub, path)
+                    elif key == "oneOf":
+                        for branch in sub:
+                            collect(branch, path)
 
         collect(schema, "")
         # one link, two channels on the default grid, every key absent that may be
@@ -1244,19 +1270,21 @@ class TestSchemaParity:
         change=st.sampled_from(["replace", "delete", "add"]),
         at=st.integers(min_value=0, max_value=10_000),
         value=st.sampled_from(PARITY_POOL),
+        new_key=st.sampled_from(PARITY_KEYS),
     )
     @settings(max_examples=400, deadline=None)
-    def test_one_mutation_gets_one_verdict(self, name, change, at, value, schema_validator):
+    def test_one_mutation_gets_one_verdict(self, name, change, at, value, new_key,
+                                           schema_validator):
         """A fixture with one value replaced from the pool, one key deleted
-        or one unknown key added is accepted or rejected by both, except
-        where a parser-only rule rejects it. A rejected document exits 1
-        through the CLI with one error line."""
+        or one key added (unknown, or one the schema names) is accepted or
+        rejected by both, except where a parser-only rule rejects it. A
+        rejected document exits 1 through the CLI with one error line."""
         doc = json.loads(json.dumps(DOC_FIXTURES[name]))
         value = json.loads(json.dumps(value))
         places = list(places_in(doc))
         if change == "add":
             objects = [doc] + [c[k] for c, k in places if isinstance(c[k], dict)]
-            objects[at % len(objects)]["unknown"] = value
+            objects[at % len(objects)][new_key] = value
         elif change == "delete":
             keys = [(c, k) for c, k in places if isinstance(c, dict)]
             container, key = keys[at % len(keys)]
@@ -1365,6 +1393,9 @@ class TestParserMessages:
             pytest.param(mutated(ten_channel_network, lambda d: d["channels"].__setitem__(5, 5)),
                          "channels[5] must be an object, got 5", id="channel-int"),
             pytest.param(mutated(ten_channel_network,
+                                 lambda d: d["network"]["links"][1].update(num_spans=0)),
+                         "network.links[1].num_spans must be >= 1, got 0", id="num-spans-zero"),
+            pytest.param(mutated(ten_channel_network,
                                  lambda d: d["channels"][5].update(wavelength_nm=0)),
                          "channel 6: wavelength_nm must be > 0", id="wavelength-zero"),
             pytest.param(mutated(ten_channel_matrix, lambda d: d["partition"].__setitem__(
@@ -1417,6 +1448,36 @@ class TestParserMessages:
         with pytest.raises(ScenarioError) as exc:
             scenario_from_dict(build())
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "base, doc_changes, field_changes, message",
+        [
+            pytest.param(FIXTURE_A_DOC, {"matrix": None}, lambda net: {"matrix": None},
+                         "scenario must contain exactly one of 'matrix'/'network'",
+                         id="no-source"),
+            pytest.param(FIXTURE_A_DOC, {"network": NETWORK_DOC["network"]},
+                         lambda net: {"network": net.network},
+                         "scenario must contain exactly one of 'matrix'/'network'",
+                         id="both-sources"),
+            pytest.param(NETWORK_DOC, {"channels": None}, lambda net: {"channels": ()},
+                         "network scenario requires a 'channels' list",
+                         id="network-without-channels"),
+            pytest.param(FIXTURE_A_DOC, {"partition": []},
+                         lambda net: {"partition": ServicePartition(roles=())},
+                         "scenario requires a 'partition' list", id="partition-empty"),
+        ],
+    )
+    def test_document_rule_message(self, base, doc_changes, field_changes, message):
+        """A document-level rule gives one message, from the parser and from
+        Scenario built directly."""
+        doc = {k: v for k, v in {**base, **doc_changes}.items() if v is not None}
+        parsed = scenario_from_dict(base)
+        fields = {f.name: getattr(parsed, f.name) for f in dataclasses.fields(Scenario)}
+        fields.update(field_changes(scenario_from_dict(NETWORK_DOC)))
+        for build in (lambda: scenario_from_dict(doc), lambda: Scenario(**fields)):
+            with pytest.raises(ScenarioError) as exc:
+                build()
+            assert str(exc.value) == message
 
     def test_tabulated_gain_and_routes_match_the_dataclasses(self):
         table = [[1550.0, 20.0], [1555, 21.5], [1560.0, 19]]
