@@ -68,7 +68,7 @@ class IterationError(NumericalError):
 
 
 class ConvergenceError(IterationError):
-    """An iterative method exhausted max_iter."""
+    """An iteration exhausted max_iter, or was refused at step 1 (rho(J) >= 1)."""
 
 
 class DivergenceError(IterationError):

@@ -23,15 +23,13 @@ DIVERGENCE_LIMIT_MW = 1e12
 
 @dataclass
 class IterationTrace:
-    # every iterate, the start included; the other lists are derived from
-    # them when the run ends, and the CSV trace prints them
+    # every iterate, the start included, which the CSV trace prints; a converged
+    # run's last is its answer, and the other lists are derived from them
     iterates: list[np.ndarray] = field(default_factory=list, metadata={"json": False})
     error_history: list[float] = field(default_factory=list)
     contraction_ratios: list[float | None] = field(default_factory=list)
     negative_steps: list[int] = field(default_factory=list)
     converged_at: int | None = None
-    # the converged iterate; a report states it once, as solution.u
-    final: np.ndarray | None = field(default=None, metadata={"json": False})
 
 
 def step(u: np.ndarray, system: ChannelSystem) -> np.ndarray:
@@ -77,7 +75,8 @@ def run(
     reference: np.ndarray | None = None,
 ) -> IterationTrace:
     """Iterate from options.initial_powers until the successive difference
-    drops under options.tol; a start of the wrong length raises ScenarioError.
+    drops under options.tol, and return the trace: its last iterate is the
+    answer. A start of the wrong length raises ScenarioError.
 
     An iterate that is not finite, or whose largest power passes
     DIVERGENCE_LIMIT_MW, raises DivergenceError with the trace so far.
@@ -91,7 +90,7 @@ def run(
     A system whose iteration cannot converge from every start (rho(J) >= 1)
     raises ConvergenceError at step 1, unless that step already meets tol.
     """
-    u = options.initial_powers(system.size).copy()  # may be options.u0 itself
+    u = options.initial_powers(system.size)
     trace = IterationTrace(iterates=[u])
     try:
         if options.strict_nonnegative and np.any(u < 0):
@@ -119,8 +118,6 @@ def run(
         stacked = np.stack(trace.iterates)
         trace.iterates = list(stacked)  # rows of one block: the step arrays are freed
         trace.negative_steps = np.flatnonzero((stacked < 0).any(axis=1)).tolist()
-        if trace.converged_at is not None:
-            trace.final = trace.iterates[-1]
         if reference is not None:
             # a ratio means something only while the error is well above the
             # rounding resolution of the reference; below it the quotient drifts to 1

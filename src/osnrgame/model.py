@@ -105,13 +105,16 @@ class ChannelSystem:
 
     A: np.ndarray
     b: np.ndarray
-    is_player: np.ndarray
     matrix: SystemMatrix
     partition: ServicePartition
 
     @property
     def size(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def is_player(self) -> np.ndarray:  # the partition's mask: True on each player's row
+        return self.partition.is_player
 
     @property
     def m(self) -> int:
@@ -212,4 +215,4 @@ def assemble(sys: SystemMatrix, partition: ServicePartition) -> ChannelSystem:
         raise ValidationError(f"channel {first}: its row of A u = b is not finite")
     for arr in (a_mat, b):
         arr.flags.writeable = False  # the cached factorization must stay valid
-    return ChannelSystem(A=a_mat, b=b, is_player=p, matrix=sys, partition=partition)
+    return ChannelSystem(A=a_mat, b=b, matrix=sys, partition=partition)

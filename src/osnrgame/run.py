@@ -3,10 +3,10 @@
 The auto route solves the channel-ordered system directly whenever its
 matrix factors cleanly, attaches the power bounds, and reports the
 contraction factor sigma, which certifies the distributed iteration when it
-is under 1. A singular or explicitly flagged infeasible instance falls back
-to the constrained least-squares solve. Only the iterative route (the
-`iterate` command and the demos) runs the distributed iteration, and it
-reports the trace.
+is under 1. A singular instance, or one whose run options say solver "qp",
+falls back to the constrained least-squares solve. Only the iterative
+route (the `iterate` command and the demos) runs the distributed
+iteration, and it reports the trace.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def execute(scenario: Scenario) -> RunReport:
     elif opts.solver == "iterative":
         reference = system.equality_solution() if feas.nonsingular else None
         trace = iterate_mod.run(system, opts, reference=reference)
-        solution = direct_mod.verify(trace.final, system)
+        solution = direct_mod.verify(trace.iterates[-1], system)  # run returns only when converged
     else:  # direct and auto: sigma < 1 certifies the iteration, which would only re-derive u
         path = "direct"
         solution = direct_mod.solve_dsnp(system)

@@ -52,7 +52,7 @@ class RunOptions:
     solver: str = "auto"
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    u0: np.ndarray | None = None  # finite mW; None: uniform default fill
+    u0: np.ndarray = DEFAULT_U0_MW  # mW, held as a 1-D array: one for all channels or one each
     strict_nonnegative: bool = False
 
     def __post_init__(self):
@@ -61,6 +61,8 @@ class RunOptions:
         _checked(self.tol, "run.tol", float)
         if not self.tol > 0:
             raise ScenarioError("run.tol must be > 0")
+        if self.tol == np.inf:  # every step would meet it
+            raise ScenarioError(f"run.tol must be finite, got {self.tol!r}")
         object.__setattr__(self, "max_iter", _checked(self.max_iter, "run.max_iter", int))
         if self.max_iter < 1:
             raise ScenarioError("run.max_iter must be >= 1")
@@ -68,26 +70,24 @@ class RunOptions:
             raise ScenarioError(
                 f"run.strict_nonnegative must be true or false, got {self.strict_nonnegative!r}"
             )
-        if self.u0 is not None:
-            raw = self.u0 if isinstance(self.u0, (list, tuple, np.ndarray)) else [self.u0]
-            if any(isinstance(v, (bool, np.bool_)) for v in raw):
-                raise ScenarioError(f"run.u0 must be numbers, got {self.u0!r}")
-            try:
-                u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
-            except (TypeError, ValueError):
-                raise ScenarioError(f"run.u0 must be numbers, got {self.u0!r}") from None
-            if not np.all(np.isfinite(u0)):
-                raise ScenarioError(f"run.u0 must be finite, got {u0.tolist()}")
-            object.__setattr__(self, "u0", u0)
+        raw = self.u0 if isinstance(self.u0, (list, tuple, np.ndarray)) else [self.u0]
+        if any(isinstance(v, (bool, np.bool_)) for v in raw):
+            raise ScenarioError(f"run.u0 must be numbers, got {self.u0!r}")
+        try:
+            u0 = np.atleast_1d(np.asarray(self.u0, dtype=float))
+        except (TypeError, ValueError):
+            raise ScenarioError(f"run.u0 must be numbers, got {self.u0!r}") from None
+        if u0.ndim > 1:
+            raise ScenarioError(f"run.u0 must be a number or a list of numbers, got {u0.tolist()}")
+        if not np.all(np.isfinite(u0)):
+            raise ScenarioError(f"run.u0 must be finite, got {u0.tolist()}")
+        object.__setattr__(self, "u0", u0)
 
     def initial_powers(self, n: int) -> np.ndarray:
-        if self.u0 is None:
-            return np.full(n, DEFAULT_U0_MW)
-        if self.u0.size == 1:
-            return np.full(n, float(self.u0.flat[0]))
-        if self.u0.shape != (n,):
+        """A new array of n start powers: u0, or its one entry on every channel."""
+        if self.u0.size not in (1, n):
             raise ScenarioError(f"run.u0 has {self.u0.size} entries for {n} channels")
-        return self.u0
+        return np.full(n, self.u0)
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ def test_criterion_3_direct_iterative_agreement(capsys):
         t0 = time.perf_counter()
         trace = iterate_run(stack, cfg, reference=sol.u)
         worst_time = max(worst_time, time.perf_counter() - t0)
-        worst_gap = max(worst_gap, float(np.max(np.abs(trace.final - sol.u))))
+        worst_gap = max(worst_gap, float(np.max(np.abs(trace.iterates[-1] - sol.u))))
     ok = worst_gap <= 1e-8 and worst_time < 0.1
     _report(
         capsys,

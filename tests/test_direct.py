@@ -325,9 +325,10 @@ class TestSharedFactorization:
         sysm, part, stack = fixture_a
         power_bounds(stack)
         assert [f.name for f in dataclasses.fields(ChannelSystem)] == [
-            "A", "b", "is_player", "matrix", "partition"
+            "A", "b", "matrix", "partition"
         ]
         assert stack.matrix is sysm and stack.partition is part
+        assert stack.is_player is part.is_player  # one mask: the roles' own
         assert not stack.A.flags.writeable  # the cached factors stay valid
 
     @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -231,9 +231,8 @@ class TestRun:
         cfg = RunOptions(u0=np.array([0.5, 0.5]), tol=1e-12)
         trace = run(stack, cfg, reference=u_star)
         assert trace.converged_at is not None
-        assert trace.final == pytest.approx(u_star, abs=1e-10)
+        assert trace.iterates[-1] == pytest.approx(u_star, abs=1e-10)
         assert len(trace.iterates) == trace.converged_at + 1
-        assert np.array_equal(trace.iterates[-1], trace.final)
 
     def test_observed_contraction_bounded_by_rate(self, fixture_a):
         sysm, part, stack = fixture_a
@@ -308,7 +307,7 @@ class TestRun:
         assert not stack.nonsingular
         trace = run(stack, RunOptions(u0=np.array([0.5, stack.b[1]])))
         assert trace.converged_at == 2
-        assert trace.final == pytest.approx([0.89, 1e-14], rel=1e-4)
+        assert trace.iterates[-1] == pytest.approx([0.89, 1e-14], rel=1e-4)
 
     def test_first_step_at_the_fixed_point_is_not_refused(self):
         # rho = 2, but a start at the solution meets tol at step 1
@@ -417,7 +416,7 @@ class TestRun:
             warnings.simplefilter("error")
             trace = run(stack, cfg, reference=u_star)
         assert trace.converged_at is not None
-        assert trace.final == pytest.approx(u_star, abs=1e-10)
+        assert trace.iterates[-1] == pytest.approx(u_star, abs=1e-10)
         assert trace.iterates[0].tolist() == [0.0, 0.0]
 
     def test_config_validation(self):

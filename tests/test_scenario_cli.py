@@ -31,6 +31,7 @@ from osnrgame.run import emit
 from osnrgame.scenario import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    DEFAULT_U0_MW,
     RunOptions,
     Scenario,
     demo3_scenario,
@@ -160,7 +161,7 @@ class TestScenarioParsing:
         assert sc.run.solver == "auto"
         assert sc.run.tol == DEFAULT_TOL
         assert sc.run.max_iter == DEFAULT_MAX_ITER
-        assert sc.run.u0 is None
+        assert sc.run.u0.tolist() == [DEFAULT_U0_MW]
         assert sc.run.initial_powers(2) == pytest.approx([0.5, 0.5])
 
     def test_db_conversion(self):
@@ -354,8 +355,8 @@ class TestEmit:
             "converged_at", "error_history", "contraction_ratios", "negative_steps",
         }
         assert len(doc["trace"]["error_history"]) == doc["trace"]["converged_at"] + 1
-        assert np.array_equal(report.trace.final, report.solution.u)
-        assert doc["solution"]["u"] == report.trace.final.tolist()
+        assert np.array_equal(report.trace.iterates[-1], report.solution.u)
+        assert doc["solution"]["u"] == report.trace.iterates[-1].tolist()
 
     def test_timing_opt_in(self, tmp_path):
         out = tmp_path / "out.json"
@@ -710,13 +711,29 @@ class TestCli:
         assert out.err.startswith("error: run.u0 must be") and out.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "tol, message",
+        [("inf", "error: run.tol must be finite, got inf\n"),
+         ("nan", "error: run.tol must be > 0\n")],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_tol_override_is_an_input_error(self, tol, message, capsys):
+        # an infinite tol would stop the iteration at step 1, off the fixed point
+        assert main(["demo3", "--tol", tol]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == message
+
+    @pytest.mark.parametrize(
         "run_opts, message",
         [
             ({"max_iter": 2.5}, "error: run.max_iter must be an integer, got 2.5\n"),
             ({"tol": True}, "error: run.tol must be a number, got True\n"),
             ({"u0": True}, "error: run.u0 must be numbers, got True\n"),
+            ({"u0": [[0.5, 0.5]]},
+             "error: run.u0 must be a number or a list of numbers, got [[0.5, 0.5]]\n"),
+            ({"u0": [[0.5, 0.5]], "solver": "iterative"},
+             "error: run.u0 must be a number or a list of numbers, got [[0.5, 0.5]]\n"),
         ],
-        ids=["max-iter-fraction", "tol-bool", "u0-bool"],
+        ids=["max-iter-fraction", "tol-bool", "u0-bool", "u0-nested", "u0-nested-iterative"],
     )
     def test_mistyped_run_option_is_an_input_error(self, run_opts, message, tmp_path, capsys):
         path = write_doc(tmp_path, {**FIXTURE_A_DOC, "run": run_opts})
@@ -1043,7 +1060,7 @@ PARSER_ONLY = {
 # values a mutation puts in place; a span count above 1000 is rejected
 # before that many spans are allocated
 PARITY_POOL = (0, 1, 2, -1, 0.5, 10**9, 1e308, 4000.0, -4000.0, True, None, "x", "seeker",
-               [], [1], [0.5, 2], {})
+               [], [1], [0.5, 2], [[0.5]], {})
 # keys a mutation adds: an unknown one, and schema keys the parser reads
 # only in some documents or objects (channels with a network; num_spans and
 # span beside spans)
@@ -1090,6 +1107,7 @@ class TestSchemaParity:
             pytest.param(lambda d: d.update(run={"tol": True}), id="tol-bool"),
             pytest.param(lambda d: d.update(run={"u0": True}), id="u0-bool"),
             pytest.param(lambda d: d.update(run={"u0": [0.5, True]}), id="u0-array-bool"),
+            pytest.param(lambda d: d.update(run={"u0": [[0.7]]}), id="u0-nested"),
             pytest.param(lambda d: d.update(power_limits={"min_mW": "1"}), id="min-mw-str"),
             pytest.param(lambda d: d.update(power_limits={"max_mW": True}), id="max-mw-bool"),
             pytest.param(lambda d: d["matrix"]["gamma"][0].__setitem__(1, -0.002),
@@ -1246,6 +1264,7 @@ class TestSchemaParity:
             "run.solver": sc.run.solver,
             "run.tol": sc.run.tol,
             "run.max_iter": sc.run.max_iter,
+            "run.u0": sc.run.u0.item(),
             "run.strict_nonnegative": sc.run.strict_nonnegative,
             "span.gain.shape": span.gain_profile.shape,
             "span.gain.peak_gain_dB": span.gain_profile.peak_gain_dB,
@@ -1380,6 +1399,9 @@ class TestParserMessages:
             pytest.param(mutated(copy_of_fixture_a,
                                  lambda d: d.update(run={"u0": [0.5, True]})),
                          "run.u0 must be numbers, got True", id="u0-true"),
+            pytest.param(mutated(copy_of_fixture_a, lambda d: d.update(run={"u0": [[0.7]]})),
+                         "run.u0 must be a number or a list of numbers, got [[0.7]]",
+                         id="u0-nested"),
             pytest.param(mutated(ten_channel_network, lambda d: d["channels"][5].update(id="6")),
                          "channels[5].id must be an integer, got '6'", id="channel-id-str"),
             pytest.param(mutated(ten_channel_network,
