@@ -2,9 +2,9 @@
 
 Feasibility analysis (diagonal-dominance conditions read off the system
 matrix), the one-shot linear solve of the channel-ordered system, residual
-verification, and the condition-number power bounds. The feasibility check,
-the solve and the bounds share the one LU factorization cached on the
-system.
+verification, and the condition-number power bounds, which `check` reports
+before anything is solved. The feasibility check shares the one LU
+factorization cached on the system with the solve or with the bounds.
 """
 
 from __future__ import annotations

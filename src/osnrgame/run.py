@@ -1,10 +1,11 @@
 """Solver orchestration and machine-readable report output.
 
 The auto route solves the channel-ordered system directly whenever its
-matrix factors cleanly, attaches the power bounds, and reports the
-contraction factor sigma, which certifies the distributed iteration when it
-is under 1. A singular instance, or one whose run options say solver "qp",
-falls back to the constrained least-squares solve. Only the iterative
+matrix factors cleanly, and reports the contraction factor sigma, which
+certifies the distributed iteration when it is under 1. The power bounds
+bracket an answer not yet solved for, so they come from `check` alone. A
+singular instance, or one whose run options say solver "qp", falls back
+to the constrained least-squares solve. Only the iterative
 route (the `iterate` command and the demos) runs the distributed
 iteration, and it reports the trace.
 """
@@ -22,7 +23,7 @@ import orjson
 from . import direct as direct_mod
 from . import iterate as iterate_mod
 from . import qp as qp_mod
-from .direct import BoundsReport, FeasibilityReport, Solution
+from .direct import FeasibilityReport, Solution
 from .errors import OutputError
 from .iterate import IterationTrace
 from .link import SystemMatrix
@@ -35,7 +36,6 @@ from .scenario import Scenario
 class RunReport:
     path_taken: str  # "direct", "qp", or "iterative"
     feasibility: FeasibilityReport
-    bounds: BoundsReport | None
     solution: Solution | QpResult | None
     trace: IterationTrace | None  # the iterative route's; None on the others
     sigma: float | None  # the contraction factor; None on the qp route
@@ -69,7 +69,6 @@ def execute(scenario: Scenario) -> RunReport:
     timing["feasibility"] = time.perf_counter() - t0
 
     opts = scenario.run
-    bounds = None
     solution: Solution | QpResult | None = None
     trace = None
     path = opts.solver
@@ -85,7 +84,6 @@ def execute(scenario: Scenario) -> RunReport:
     else:  # direct and auto: sigma < 1 certifies the iteration, which would only re-derive u
         path = "direct"
         solution = direct_mod.solve_dsnp(system)
-        bounds = direct_mod.power_bounds(system)
     sigma = None if path == "qp" else iterate_mod.convergence_rate(system)
     timing["solve"] = time.perf_counter() - t0
 
@@ -93,7 +91,6 @@ def execute(scenario: Scenario) -> RunReport:
     return RunReport(
         path_taken=path,
         feasibility=feas,
-        bounds=bounds,
         solution=solution,
         trace=trace,
         sigma=sigma,

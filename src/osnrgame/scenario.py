@@ -52,7 +52,8 @@ class RunOptions:
     solver: str = "auto"
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    u0: np.ndarray = DEFAULT_U0_MW  # mW, held as a 1-D array: one for all channels or one each
+    # mW: the parser reads a list as one array; held as a tuple, one for all channels or one each
+    u0: np.ndarray | tuple[float, ...] = DEFAULT_U0_MW
     strict_nonnegative: bool = False
 
     def __post_init__(self):
@@ -81,12 +82,12 @@ class RunOptions:
             raise ScenarioError(f"run.u0 must be a number or a list of numbers, got {u0.tolist()}")
         if not np.all(np.isfinite(u0)):
             raise ScenarioError(f"run.u0 must be finite, got {u0.tolist()}")
-        object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "u0", tuple(u0.tolist()))  # a copy: equal, hashable, immutable
 
     def initial_powers(self, n: int) -> np.ndarray:
         """A new array of n start powers: u0, or its one entry on every channel."""
-        if self.u0.size not in (1, n):
-            raise ScenarioError(f"run.u0 has {self.u0.size} entries for {n} channels")
+        if len(self.u0) not in (1, n):
+            raise ScenarioError(f"run.u0 has {len(self.u0)} entries for {n} channels")
         return np.full(n, self.u0)
 
 

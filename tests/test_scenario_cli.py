@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osnrgame
-from osnrgame import ServicePartition, execute, load_scenario
+from osnrgame import ServicePartition, assemble, execute, load_scenario, power_bounds
 from osnrgame.cli import main
 from osnrgame.direct import Solution
 from osnrgame.errors import EvaluationError, InfeasibleError, ScenarioError
@@ -161,7 +161,7 @@ class TestScenarioParsing:
         assert sc.run.solver == "auto"
         assert sc.run.tol == DEFAULT_TOL
         assert sc.run.max_iter == DEFAULT_MAX_ITER
-        assert sc.run.u0.tolist() == [DEFAULT_U0_MW]
+        assert sc.run.u0 == (DEFAULT_U0_MW,)
         assert sc.run.initial_powers(2) == pytest.approx([0.5, 0.5])
 
     def test_db_conversion(self):
@@ -268,6 +268,23 @@ class TestScenarioParsing:
             [0.25, 0.25, 0.25]
         )
 
+    def test_options_with_equal_values_are_equal(self):
+        assert RunOptions(u0=[0.1, 0.2]) == RunOptions(u0=np.array([0.1, 0.2]))
+        assert RunOptions(u0=[0.1, 0.2]) != RunOptions(u0=[0.1, 0.3])
+        assert RunOptions() == RunOptions(u0=DEFAULT_U0_MW) != RunOptions(u0=[0.5, 0.5])
+
+    def test_options_are_hashable(self):
+        assert hash(RunOptions()) == hash(RunOptions(u0=np.array([DEFAULT_U0_MW])))
+        assert len({RunOptions(u0=[0.1, 0.2]), RunOptions(u0=(0.1, 0.2)), RunOptions()}) == 2
+
+    def test_options_hold_their_own_u0(self):
+        a = np.array([0.1, 0.2])
+        opts = RunOptions(u0=a)
+        a[0] = 9.0
+        assert opts.u0 == (0.1, 0.2)
+        opts.initial_powers(2)[1] = 9.0
+        assert opts.initial_powers(2).tolist() == [0.1, 0.2]
+
 
 class TestExecute:
     def test_auto_on_fixture_a(self):
@@ -275,7 +292,7 @@ class TestExecute:
         assert report.path_taken == "direct"
         assert isinstance(report.solution, Solution)
         assert report.solution.u == pytest.approx([35 / 47, 60 / 47], rel=1e-10)
-        assert report.bounds is not None
+        assert not hasattr(report, "bounds")  # `check` reports them
         assert report.sigma == pytest.approx(0.2 / 0.9, rel=1e-12)
         # sigma < 1 certifies the iteration; only the iterative solver runs it
         assert report.trace is None
@@ -321,6 +338,44 @@ class TestExecute:
             "channel 1: 0.744681 mW above maximum 0.5",
             "channel 2: 1.2766 mW above maximum 0.5",
         ]
+
+
+class TestBoundsFromCheckAlone:
+    """The power bounds bracket an answer not yet solved for: `check`
+    computes them, and no solve route does."""
+
+    @pytest.fixture
+    def no_bounds(self, monkeypatch):
+        def refuse(system):
+            raise AssertionError("a solve route computed the power bounds")
+        monkeypatch.setattr("osnrgame.direct.power_bounds", refuse)
+
+    @pytest.mark.parametrize(
+        "doc, solver, path",
+        [(FIXTURE_A_DOC, "auto", "direct"), (FIXTURE_A_DOC, "direct", "direct"),
+         (FIXTURE_A_DOC, "iterative", "iterative"), (FIXTURE_A_DOC, "qp", "qp"),
+         (SINGULAR_DOC, "auto", "qp")],
+        ids=["auto", "direct", "iterative", "qp", "singular-auto"],
+    )
+    def test_execute_never_computes_bounds(self, doc, solver, path, no_bounds):
+        report = execute(scenario_from_dict({**doc, "run": {"solver": solver}}))
+        assert report.path_taken == path
+
+    @pytest.mark.parametrize("command", ["solve", "iterate", "demo3"])
+    def test_run_report_has_no_bounds_key(self, command, no_bounds, tmp_path, capsys):
+        path = write_doc(tmp_path, FIXTURE_A_DOC)
+        assert main([command] if command == "demo3" else [command, path]) == 0
+        assert set(orjson.loads(capsys.readouterr().out)) == {
+            "feasibility", "path_taken", "power_limit_violations", "sigma", "solution", "trace"
+        }
+
+    def test_check_reports_the_bounds(self, tmp_path, capsys):
+        sc = scenario_from_dict(FIXTURE_A_DOC)
+        expected = power_bounds(assemble(sc.system_matrix(), sc.partition))
+        assert main(["check", write_doc(tmp_path, FIXTURE_A_DOC)]) == 0
+        bounds = orjson.loads(capsys.readouterr().out)["bounds"]
+        assert isinstance(bounds["kappa_inf"], float) and bounds["kappa_inf"] > 1.0
+        assert bounds == dataclasses.asdict(expected)
 
 
 class TestEmit:
@@ -603,7 +658,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["check", "solve"])
     def test_report_states_each_fact_once(self, command, monkeypatch, capsys):
-        # the demo3 network under the auto solver, which reports bounds
+        # the demo3 network under the auto solver; only check reports bounds
         auto = dataclasses.replace(demo3_scenario(), run=RunOptions())
         monkeypatch.setattr("osnrgame.cli.load_scenario", lambda path: auto)
         assert main([command, "demo3.json"]) == 0
@@ -611,7 +666,11 @@ class TestCli:
         assert set(report["feasibility"]) == {
             "condition", "margins", "nonsingular", "strictly_diagonally_dominant"
         }
-        assert set(report["bounds"]) == {"kappa_inf", "lower_inf", "preconditions_hold", "upper_inf"}
+        if command == "check":
+            assert set(report["bounds"]) == {
+                "kappa_inf", "lower_inf", "preconditions_hold", "upper_inf"}
+        else:
+            assert "bounds" not in report
         assert report["feasibility"]["condition"] == [True, True, True]
 
     @pytest.mark.parametrize("n, kappa", [
@@ -1023,7 +1082,7 @@ class TestDemoScenarios:
         report = execute(demo3_scenario())
         assert report.path_taken == "iterative"
         assert report.trace.converged_at is not None
-        assert report.bounds is None
+        assert not hasattr(report, "bounds")
         dbs = report.solution.osnr_db
         # both players clear the seeker's 20 dB target; the seeker sits on it
         assert dbs[0] > 20.0 and dbs[1] > 20.0
@@ -1036,7 +1095,7 @@ class TestDemoScenarios:
         report = execute(demo30_scenario())
         assert report.path_taken == "iterative"
         assert report.trace.converged_at is not None
-        assert report.bounds is None
+        assert not hasattr(report, "bounds")
         assert len(report.solution.u) == 30
         for k in range(20, 30):
             assert report.solution.osnr_db[k] == pytest.approx(20.0, abs=0.01)
@@ -1264,7 +1323,7 @@ class TestSchemaParity:
             "run.solver": sc.run.solver,
             "run.tol": sc.run.tol,
             "run.max_iter": sc.run.max_iter,
-            "run.u0": sc.run.u0.item(),
+            "run.u0": sc.run.u0[0],
             "run.strict_nonnegative": sc.run.strict_nonnegative,
             "span.gain.shape": span.gain_profile.shape,
             "span.gain.peak_gain_dB": span.gain_profile.peak_gain_dB,
