@@ -1,10 +1,10 @@
 """Direct solution of the mixed allocation problem.
 
-Feasibility analysis (diagonal-dominance conditions read off the system
-matrix), the one-shot linear solve of the channel-ordered system, residual
-verification, and the condition-number power bounds, which `check` reports
-before anything is solved. The feasibility check shares the one LU
-factorization cached on the system with the solve or with the bounds.
+Feasibility analysis (diagonal dominance and the contraction factor read
+off the system matrix), the one-shot linear solve of the channel-ordered
+system, residual verification, and the condition-number power bounds, which
+`check` reports before anything is solved. The feasibility check shares the
+one LU factorization cached on the system with the solve or with the bounds.
 """
 
 from __future__ import annotations
@@ -13,26 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import iterate as iterate_mod
 from .errors import EvaluationError
 from .model import ChannelSystem, osnr, to_db
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Row-by-row dominance conditions and the resulting solvability flags."""
+    """Row-by-row dominance conditions, nonsingularity and the contraction factor."""
 
     # per channel: a player's a_i > sum_{j!=i} Gamma_ij, a seeker's
     # gamma_i sum_j Gamma_ij < 1
     condition: np.ndarray
-    strictly_diagonally_dominant: bool
     nonsingular: bool
     # |diag| - off-diagonal abs sum, players then seekers: the one per-channel
     # array outside channel order, which perfbench/reference.py checks
     margins: np.ndarray
-
-    @property
-    def all_conditions_hold(self) -> bool:
-        return bool(np.all(self.condition))
+    # the Jacobi contraction factor; under 1 exactly when every margin is
+    # positive (A strictly diagonally dominant), inf when A has a 0 diagonal
+    sigma: float
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,8 @@ class Solution:
 
 
 def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
-    """Evaluate the per-row dominance hypotheses and factorization-based
-    nonsingularity of the system matrix. Always returns a report."""
+    """Evaluate the per-row dominance hypotheses, factorization-based
+    nonsingularity and contraction factor of the system. Always returns a report."""
     diag = system.diagonal
     off = system.abs_row_sums - np.abs(diag)
     p = system.is_player
@@ -74,9 +73,9 @@ def check_feasibility(system: ChannelSystem) -> FeasibilityReport:
         # a seeker row holds its condition exactly when 1 - gamma_i Gamma_ii
         # beats its off-diagonal sum, a player row when a_i does
         condition=diag - off > 0,
-        strictly_diagonally_dominant=bool(np.all(margins > 0)),
         nonsingular=system.nonsingular,
         margins=np.concatenate([margins[p], margins[~p]]),
+        sigma=iterate_mod.convergence_rate(system),
     )
 
 

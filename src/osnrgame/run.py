@@ -1,12 +1,12 @@
 """Solver orchestration and machine-readable report output.
 
 The auto route solves the channel-ordered system directly whenever its
-matrix factors cleanly, and reports the contraction factor sigma, which
-certifies the distributed iteration when it is under 1. The power bounds
-bracket an answer not yet solved for, so they come from `check` alone. A
-singular instance, or one whose run options say solver "qp", falls back
-to the constrained least-squares solve. Only the iterative
-route (the `iterate` command and the demos) runs the distributed
+matrix factors cleanly. Every route reports the feasibility check, whose
+contraction factor sigma certifies the distributed iteration when it is
+under 1. The power bounds bracket an answer not yet solved for, so they
+come from `check` alone. A singular instance, or one whose run options say
+solver "qp", falls back to the constrained least-squares solve. Only the
+iterative route (the `iterate` command and the demos) runs the distributed
 iteration, and it reports the trace.
 """
 
@@ -34,11 +34,10 @@ from .scenario import Scenario
 
 @dataclass
 class RunReport:
-    path_taken: str  # "direct", "qp", or "iterative"
-    feasibility: FeasibilityReport
+    path_taken: str  # "direct" (the auto solver's route), "qp", or "iterative"
+    feasibility: FeasibilityReport  # sigma included, on every route
     solution: Solution | QpResult | None
     trace: IterationTrace | None  # the iterative route's; None on the others
-    sigma: float | None  # the contraction factor; None on the qp route
     power_limit_violations: list[str]
     timing_s: dict[str, float]
     # the coupling matrix solved on; the CSV trace derives its OSNRs from it
@@ -81,10 +80,9 @@ def execute(scenario: Scenario) -> RunReport:
         reference = system.equality_solution() if feas.nonsingular else None
         trace = iterate_mod.run(system, opts, reference=reference)
         solution = direct_mod.verify(trace.iterates[-1], system)  # run returns only when converged
-    else:  # direct and auto: sigma < 1 certifies the iteration, which would only re-derive u
+    else:  # auto: sigma < 1 certifies the iteration, which would only re-derive u
         path = "direct"
         solution = direct_mod.solve_dsnp(system)
-    sigma = None if path == "qp" else iterate_mod.convergence_rate(system)
     timing["solve"] = time.perf_counter() - t0
 
     violations = _limit_violations(scenario, np.asarray(solution.u))
@@ -93,7 +91,6 @@ def execute(scenario: Scenario) -> RunReport:
         feasibility=feas,
         solution=solution,
         trace=trace,
-        sigma=sigma,
         power_limit_violations=violations,
         timing_s=timing,
         matrix=sysmat,

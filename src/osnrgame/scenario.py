@@ -44,7 +44,7 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
 DEFAULT_U0_MW = 0.5
 
-SOLVERS = ("auto", "direct", "iterative", "qp")
+SOLVERS = ("auto", "iterative", "qp")
 
 
 @dataclass(frozen=True)
@@ -286,9 +286,9 @@ def _parse_role(obj, where: str) -> PlayerParams | SeekerParams:
         if "target_osnr_db" not in obj:
             raise ScenarioError(f"{where}: missing field 'target_osnr_db'")
         target_db = _checked(obj["target_osnr_db"], f"{where}.target_osnr_db", float)
-        try:
+        try:  # a target far below 0 dB underflows to 0, which SeekerParams refuses
             return SeekerParams(gamma=db_to_linear(target_db))
-        except OverflowError:
+        except (OverflowError, ValidationError):
             raise ScenarioError(
                 f"{where}.target_osnr_db is out of range, got {target_db!r}"
             ) from None

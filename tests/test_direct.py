@@ -34,8 +34,8 @@ class TestCheckFeasibility:
     def test_fixture_a_all_hold(self, fixture_a):
         sysm, part, stack = fixture_a
         rep = check_feasibility(stack)
-        assert rep.all_conditions_hold
-        assert rep.strictly_diagonally_dominant
+        assert rep.condition.all()
+        assert rep.sigma == pytest.approx(0.2 / 0.9, rel=1e-14)  # dominant: under 1
         assert rep.nonsingular
         # margins: |0.01| - 0.002 and |0.9| - 0.2
         assert rep.margins == pytest.approx([0.008, 0.7], rel=1e-12)
@@ -48,7 +48,6 @@ class TestCheckFeasibility:
         )
         rep = check_feasibility(stack)
         assert rep.condition.tolist() == [True, False]  # channel 2 is the seeker
-        assert not rep.all_conditions_hold
 
     def test_weak_player_fails(self):
         sysm, part, stack = make(
@@ -86,7 +85,8 @@ class TestCheckFeasibility:
             [PlayerParams(1.0, 2.0, 0.01), SeekerParams(100.0)],
         )
         rep = check_feasibility(stack)
-        assert rep.all_conditions_hold
+        assert rep.condition.all()
+        assert rep.sigma == 0.0
         assert rep.nonsingular
 
     def test_singular_reported_not_raised(self):
@@ -97,7 +97,7 @@ class TestCheckFeasibility:
         )
         rep = check_feasibility(stack)
         assert not rep.nonsingular
-        assert not rep.strictly_diagonally_dominant
+        assert rep.sigma == pytest.approx(1.0, rel=1e-14)  # not dominant
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -105,8 +105,8 @@ class TestCheckFeasibility:
         rng = np.random.default_rng(seed)
         sysm, part, stack = random_dominant_instance(rng, n_max=12)
         rep = check_feasibility(stack)
-        assert rep.all_conditions_hold
-        assert rep.strictly_diagonally_dominant
+        assert rep.condition.all()
+        assert rep.sigma < 1.0
         assert rep.nonsingular
         assert np.all(rep.margins > 0)
 

@@ -214,9 +214,8 @@ class TestConvergenceRate:
     def test_rate_under_one_exactly_when_dominant(self, seed):
         stack = (zero_diagonal_system() if seed is None
                  else random_small_system(np.random.default_rng(seed)))
-        assert check_feasibility(stack).strictly_diagonally_dominant == (
-            convergence_rate(stack) < 1.0
-        )
+        rep = check_feasibility(stack)
+        assert np.all(rep.margins > 0) == (rep.sigma < 1.0)
 
     def test_draws_reach_both_outcomes(self):
         rates = [convergence_rate(random_small_system(np.random.default_rng(seed)))

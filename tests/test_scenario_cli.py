@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import osnrgame
-from osnrgame import ServicePartition, assemble, execute, load_scenario, power_bounds
+from osnrgame import (
+    ServicePartition, assemble, convergence_rate, execute, load_scenario, power_bounds,
+)
 from osnrgame.cli import main
 from osnrgame.direct import Solution
 from osnrgame.errors import EvaluationError, InfeasibleError, ScenarioError
@@ -57,14 +59,14 @@ NO_OSNR_DOC = {
         {"role": "player", "alpha": 1.0, "beta": 2.5895, "a": 0.5873},
         {"role": "player", "alpha": 1.0, "beta": 0.8991, "a": 0.4804},
     ],
-    "run": {"solver": "direct"},
+    "run": {"solver": "auto"},
 }
 
 # every run option set away from its default, to see which ones a flag overrides
 RUN_OPTIONS_DOC = {
     **FIXTURE_A_DOC,
     "run": {"tol": 1e-6, "max_iter": 7, "u0": [0.2, 0.3], "strict_nonnegative": True,
-            "solver": "direct"},
+            "solver": "qp"},
 }
 
 # one player whose price is too high for its willingness to pay: the
@@ -293,7 +295,7 @@ class TestExecute:
         assert isinstance(report.solution, Solution)
         assert report.solution.u == pytest.approx([35 / 47, 60 / 47], rel=1e-10)
         assert not hasattr(report, "bounds")  # `check` reports them
-        assert report.sigma == pytest.approx(0.2 / 0.9, rel=1e-12)
+        assert report.feasibility.sigma == pytest.approx(0.2 / 0.9, rel=1e-12)
         # sigma < 1 certifies the iteration; only the iterative solver runs it
         assert report.trace is None
 
@@ -315,14 +317,13 @@ class TestExecute:
         assert report.solution.u == pytest.approx([35 / 47, 60 / 47], abs=1e-8)
 
     def test_direct_route_ignores_max_iter(self):
-        # two steps could not reach tol, but auto and direct do not iterate
-        for solver in ("auto", "direct"):
-            doc = {**FIXTURE_A_DOC, "run": {"solver": solver, "max_iter": 2}}
-            report = execute(scenario_from_dict(doc))
-            assert report.path_taken == "direct"
-            assert report.solution.u == pytest.approx([35 / 47, 60 / 47], rel=1e-10)
-            assert report.sigma == pytest.approx(0.2 / 0.9, rel=1e-12)
-            assert report.trace is None
+        # two steps could not reach tol, but auto does not iterate
+        doc = {**FIXTURE_A_DOC, "run": {"solver": "auto", "max_iter": 2}}
+        report = execute(scenario_from_dict(doc))
+        assert report.path_taken == "direct"
+        assert report.solution.u == pytest.approx([35 / 47, 60 / 47], rel=1e-10)
+        assert report.feasibility.sigma == pytest.approx(0.2 / 0.9, rel=1e-12)
+        assert report.trace is None
 
     def test_power_limit_violations(self):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
@@ -352,10 +353,9 @@ class TestBoundsFromCheckAlone:
 
     @pytest.mark.parametrize(
         "doc, solver, path",
-        [(FIXTURE_A_DOC, "auto", "direct"), (FIXTURE_A_DOC, "direct", "direct"),
-         (FIXTURE_A_DOC, "iterative", "iterative"), (FIXTURE_A_DOC, "qp", "qp"),
-         (SINGULAR_DOC, "auto", "qp")],
-        ids=["auto", "direct", "iterative", "qp", "singular-auto"],
+        [(FIXTURE_A_DOC, "auto", "direct"), (FIXTURE_A_DOC, "iterative", "iterative"),
+         (FIXTURE_A_DOC, "qp", "qp"), (SINGULAR_DOC, "auto", "qp")],
+        ids=["auto", "iterative", "qp", "singular-auto"],
     )
     def test_execute_never_computes_bounds(self, doc, solver, path, no_bounds):
         report = execute(scenario_from_dict({**doc, "run": {"solver": solver}}))
@@ -366,7 +366,7 @@ class TestBoundsFromCheckAlone:
         path = write_doc(tmp_path, FIXTURE_A_DOC)
         assert main([command] if command == "demo3" else [command, path]) == 0
         assert set(orjson.loads(capsys.readouterr().out)) == {
-            "feasibility", "path_taken", "power_limit_violations", "sigma", "solution", "trace"
+            "feasibility", "path_taken", "power_limit_violations", "solution", "trace"
         }
 
     def test_check_reports_the_bounds(self, tmp_path, capsys):
@@ -376,6 +376,32 @@ class TestBoundsFromCheckAlone:
         bounds = orjson.loads(capsys.readouterr().out)["bounds"]
         assert isinstance(bounds["kappa_inf"], float) and bounds["kappa_inf"] > 1.0
         assert bounds == dataclasses.asdict(expected)
+
+
+class TestSigmaStatedOnce:
+    """The contraction factor is a feasibility fact: every route and `check`
+    report it as feasibility.sigma, and no report states it anywhere else."""
+
+    @pytest.mark.parametrize(
+        "command, base, solver",
+        [("solve", FIXTURE_A_DOC, "auto"), ("solve", FIXTURE_A_DOC, "iterative"),
+         ("solve", FIXTURE_A_DOC, "qp"), ("solve", SINGULAR_DOC, "auto"),
+         ("check", FIXTURE_A_DOC, "auto"), ("solve", ZERO_DIAGONAL_DOC, "auto"),
+         ("check", ZERO_DIAGONAL_DOC, "auto")],
+        ids=["auto", "iterative", "qp", "singular-auto", "check", "zero-diagonal",
+             "zero-diagonal-check"],
+    )
+    def test_feasibility_sigma_is_the_contraction_factor(self, command, base, solver, tmp_path,
+                                                         capsys):
+        doc = {**base, "run": {"solver": solver}}
+        assert main([command, write_doc(tmp_path, doc)]) == 0
+        report = orjson.loads(capsys.readouterr().out)
+        sc = scenario_from_dict(doc)
+        sigma = convergence_rate(assemble(sc.system_matrix(), sc.partition))
+        assert "sigma" not in report
+        # inf, written as null, exactly where A has a 0 diagonal entry
+        assert math.isinf(sigma) == (base is ZERO_DIAGONAL_DOC)
+        assert report["feasibility"]["sigma"] == (None if math.isinf(sigma) else sigma)
 
 
 class TestEmit:
@@ -436,7 +462,7 @@ class TestEmit:
 
     def test_csv_header_only_without_trace(self, tmp_path):
         doc = json.loads(json.dumps(FIXTURE_A_DOC))
-        doc["run"] = {"solver": "direct"}
+        doc["run"] = {"solver": "auto"}
         report = execute(scenario_from_dict(doc))
         out = str(tmp_path / "trace.csv")
         emit(report, fmt="csv", out_path=out)
@@ -498,7 +524,7 @@ class TestCli:
         assert isinstance(orjson.loads(out), dict)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
-           solver=st.sampled_from(["auto", "direct", "qp"]))
+           solver=st.sampled_from(["auto", "qp"]))
     @settings(max_examples=40, deadline=None)
     def test_drawn_matrix_reports_are_strict_json(self, seed, solver):
         # a non-positive OSNR denominator or contradictory seeker rows exit 2
@@ -537,7 +563,7 @@ class TestCli:
         # the second player's power is driven to -111 mW, so its OSNR
         # denominator n0 + (Gamma u)_2 is -44.4; the iteration converges there
         # (rho(J) = 0.32), and its last iterate fails the same way
-        for solver in ("direct", "iterative"):
+        for solver in ("auto", "iterative"):
             doc = {
                 "matrix": {"gamma": [[0.1, 0.01], [1.0, 0.5]], "n0": [0.01, 0.01]},
                 "partition": [
@@ -596,13 +622,9 @@ class TestCli:
     def test_zero_diagonal_solve_reports_the_direct_answer(self, tmp_path, capsys):
         # the update is undefined: sigma is inf, written as null
         assert main(["solve", write_doc(tmp_path, ZERO_DIAGONAL_DOC)]) == 0
-        out = capsys.readouterr().out
-        doc = {**ZERO_DIAGONAL_DOC, "run": {"solver": "direct"}}
-        assert main(["solve", write_doc(tmp_path, doc, "direct.json")]) == 0
-        assert capsys.readouterr().out == out
-        report = orjson.loads(out)
+        report = orjson.loads(capsys.readouterr().out)
         assert report["path_taken"] == "direct"
-        assert report["sigma"] is None and report["trace"] is None
+        assert report["feasibility"]["sigma"] is None and report["trace"] is None
         assert report["solution"]["u"] == pytest.approx([-5.0, 30.0], rel=1e-12)
 
     def test_zero_diagonal_iterate_is_a_numerical_failure(self, tmp_path, capsys):
@@ -618,7 +640,7 @@ class TestCli:
             "numerical failure: the iteration cannot converge: sigma 1, rho 1\n"
         )
 
-    @pytest.mark.parametrize("solver", ["auto", "direct", "qp"])
+    @pytest.mark.parametrize("solver", ["auto", "qp"])
     def test_all_player_singular_is_least_squares(self, solver, tmp_path, capsys):
         doc = {**ONE_CLASS_SINGULAR_DOCS["players"], "run": {"solver": solver}}
         assert main(["solve", write_doc(tmp_path, doc)]) == 0
@@ -628,7 +650,7 @@ class TestCli:
         assert report["solution"]["u"] == pytest.approx([0.45, 0.45], rel=0.0, abs=1e-12)
         assert report["solution"]["objective"] <= 1e-12
 
-    @pytest.mark.parametrize("solver", ["auto", "direct", "qp"])
+    @pytest.mark.parametrize("solver", ["auto", "qp"])
     def test_all_seeker_singular_is_infeasible(self, solver, tmp_path, capsys):
         doc = {**ONE_CLASS_SINGULAR_DOCS["seekers"], "run": {"solver": solver}}
         assert main(["solve", write_doc(tmp_path, doc)]) == 2
@@ -663,14 +685,14 @@ class TestCli:
         monkeypatch.setattr("osnrgame.cli.load_scenario", lambda path: auto)
         assert main([command, "demo3.json"]) == 0
         report = orjson.loads(capsys.readouterr().out)
-        assert set(report["feasibility"]) == {
-            "condition", "margins", "nonsingular", "strictly_diagonally_dominant"
-        }
+        assert set(report["feasibility"]) == {"condition", "margins", "nonsingular", "sigma"}
         if command == "check":
+            assert set(report) == {"bounds", "feasibility"}
             assert set(report["bounds"]) == {
                 "kappa_inf", "lower_inf", "preconditions_hold", "upper_inf"}
         else:
-            assert "bounds" not in report
+            assert set(report) == {
+                "feasibility", "path_taken", "power_limit_violations", "solution", "trace"}
         assert report["feasibility"]["condition"] == [True, True, True]
 
     @pytest.mark.parametrize("n, kappa", [
@@ -932,6 +954,9 @@ class TestCli:
         [
             (lambda d: d["partition"][1].update(target_osnr_db=4000.0),
              "error: partition[1].target_osnr_db is out of range, got 4000.0\n"),
+            # 10^(dB/10) underflows to 0 below about -3236 dB
+            (lambda d: d["partition"][1].update(target_osnr_db=-4000.0),
+             "error: partition[1].target_osnr_db is out of range, got -4000.0\n"),
             (lambda d: d["partition"][0].update(alpha=1e-300, beta=1e300),
              "error: channel 1: its row of A u = b is not finite\n"),
             # a span count is bounded before that many spans are allocated
@@ -940,7 +965,8 @@ class TestCli:
             (on_network(lambda d: d["network"]["links"][0].update(num_spans=1001)),
              "error: network.links[0].num_spans must be <= 1000, got 1001\n"),
         ],
-        ids=["target-overflows", "player-rhs-overflows", "num-spans-overflows",
+        ids=["target-overflows", "target-underflows", "player-rhs-overflows",
+             "num-spans-overflows",
              "num-spans-above-bound"],
     )
     def test_overflowing_value_is_an_input_error(self, mutate, message, tmp_path, capsys):
@@ -1089,7 +1115,7 @@ class TestDemoScenarios:
         assert dbs[2] == pytest.approx(20.0, abs=0.01)
         # the higher-beta player buys more power and OSNR
         assert report.solution.u[1] > report.solution.u[0]
-        assert report.sigma < 1.0
+        assert report.feasibility.sigma < 1.0
 
     def test_demo30_report(self):
         report = execute(demo30_scenario())
@@ -1100,7 +1126,7 @@ class TestDemoScenarios:
         for k in range(20, 30):
             assert report.solution.osnr_db[k] == pytest.approx(20.0, abs=0.01)
         assert np.all(report.solution.u > 0)
-        assert report.sigma < 1.0
+        assert report.feasibility.sigma < 1.0
 
 
 SCHEMA_PATH = pathlib.Path(__file__).resolve().parent.parent / "scenario.schema.json"
@@ -1113,8 +1139,7 @@ PARSER_ONLY = {
     "n0 length": r"^n0 length must match gamma dimension$",
     "ragged rows": r"^malformed scenario: setting an array element with a sequence\.",
     "duplicate link ids": r"^duplicate link ids$",
-    "target overflows": r"^partition\[\d+\]\.target_osnr_db is out of range, got ",
-    "target underflows": r"^gamma must be > 0$",
+    "target out of range": r"^partition\[\d+\]\.target_osnr_db is out of range, got ",
 }
 # values a mutation puts in place; a span count above 1000 is rejected
 # before that many spans are allocated
@@ -1152,6 +1177,7 @@ class TestSchemaParity:
         "mutate",
         [
             pytest.param(lambda d: d.update(run={"solver": "newton"}), id="solver"),
+            pytest.param(lambda d: d.update(run={"solver": "direct"}), id="solver-direct"),
             pytest.param(lambda d: d.update(run={"tol": 0.0}), id="tol-zero"),
             pytest.param(lambda d: d.update(run={"tol": -1e-8}), id="tol-negative"),
             pytest.param(lambda d: d.update(run={"max_iter": 0}), id="max-iter-zero"),
@@ -1503,7 +1529,8 @@ class TestParserMessages:
                          id="target-overflows"),
             pytest.param(mutated(ten_channel_matrix,
                                  lambda d: d["partition"][5].update(target_osnr_db=-4000.0)),
-                         "gamma must be > 0", id="target-underflows"),
+                         "partition[5].target_osnr_db is out of range, got -4000.0",
+                         id="target-underflows"),
             pytest.param(mutated(ten_channel_matrix, lambda d: d["partition"].__setitem__(5, 5)),
                          "partition[5] must be an object, got 5", id="role-int"),
             # the first bad entry is reported, whatever kind of error comes later
@@ -1518,11 +1545,13 @@ class TestParserMessages:
             pytest.param(mutated(ten_channel_matrix, lambda d: (
                 d["partition"][7].update(target_osnr_db=-4000.0), d["partition"][8].update(
                     role="observer"))),
-                         "gamma must be > 0", id="seeker-range-error-before-unknown-role"),
+                         "partition[7].target_osnr_db is out of range, got -4000.0",
+                         id="seeker-range-error-before-unknown-role"),
             pytest.param(mutated(ten_channel_matrix, lambda d: (
                 d["partition"].__setitem__(1, {"role": "seeker", "target_osnr_db": -4000.0}),
                 d["partition"][3].update(alpha=0.0))),
-                         "gamma must be > 0", id="seeker-range-error-before-player-range-error"),
+                         "partition[1].target_osnr_db is out of range, got -4000.0",
+                         id="seeker-range-error-before-player-range-error"),
         ],
     )
     def test_message(self, build, message):
