@@ -48,25 +48,19 @@ def step(u: np.ndarray, system: ChannelSystem) -> np.ndarray:
 
 
 def convergence_rate(system: ChannelSystem) -> float:
-    """Worst-row contraction factor of the update map: the largest row sum
-    of |D^-1 (A - D)| with D the diagonal of A; inf when D has a 0, because
-    the update is then undefined and nothing contracts."""
-    diag = np.abs(system.diagonal)
-    if not diag.all():
-        return math.inf
-    return float(np.max((system.abs_row_sums - diag) / diag))
+    """Worst-row contraction factor of the update map, cached as system.sigma."""
+    return system.sigma
 
 
 def _cannot_converge(system: ChannelSystem) -> str | None:
     """Why the iteration cannot converge from every start, or None: that
     needs rho(J) < 1 for J = I - D^-1 A (Varga 1962, ch. 3), and sigma >=
     rho(J). A singular A = D (I - J) gives J the eigenvalue 1."""
-    sigma = convergence_rate(system)
-    if sigma < 1.0:
+    if system.sigma < 1.0:
         return None
     jacobi = np.eye(system.size) - system.A / system.diagonal[:, None]
     rho = float(np.max(np.abs(np.linalg.eigvals(jacobi))))
-    return None if rho < 1.0 else f"sigma {sigma:.6g}, rho {rho:.6g}"
+    return None if rho < 1.0 else f"sigma {system.sigma:.6g}, rho {rho:.6g}"
 
 
 def run(

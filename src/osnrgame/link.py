@@ -1,10 +1,10 @@
 """Physical link model and coupling-matrix construction.
 
 A link is a chain of amplified spans. Each amplifier has a wavelength
-dependent gain profile and adds ASE noise; the per-span ASE, normalized by
-the amplifier output power and weighted by cumulative gain ratios along
-each channel's route, accumulates into the N x N coupling matrix used by
-the allocation solvers.
+dependent gain profile and adds ASE noise. The N x N coupling matrix used
+by the allocation solvers is one sum over stages, the route prefixes: a
+stage adds the ASE of each span of its last link, normalized by the output
+power and weighted by gain ratios, to the rows of the channels it begins.
 
 Units: powers in mW, gains/losses in dB at the type boundary and linear
 inside the arithmetic, wavelengths in nm.
@@ -206,28 +206,21 @@ def _ase_mw(spans: tuple[Span, ...], wavelength_nm: np.ndarray, gain: np.ndarray
     warning per such span gives the count of clamped channels and their
     first few ids.
     """
-    ase = np.empty(gain.shape)
-    phys = []
-    for k, span in enumerate(spans):
-        if span.ase.fixed_ase_mW is None:
-            phys.append(k)
-        else:
-            ase[k] = span.ase.fixed_ase_mW
-    if not phys:
-        return ase
-    gain = gain[phys]
-    clamped = gain < 1.0
+    # the fixed overrides as one K x 1 column, NaN where the formula applies
+    fixed = np.array([[np.nan if s.ase.fixed_ase_mW is None else s.ase.fixed_ase_mW]
+                      for s in spans])
+    clamped = (gain < 1.0) & np.isnan(fixed)
     for row in clamped[clamped.any(axis=1)]:
         hit = np.flatnonzero(row)
         shown = ", ".join(str(ids[i]) for i in hit[:5]) + (", ..." if len(hit) > 5 else "")
         warnings.warn(f"amplifier gain < 1 for {len(hit)} channel(s) (ids {shown}), "
                       "clamping their ASE at 0", stacklevel=3)
-    nsp = np.array([spans[k].ase.nsp for k in phys])
-    bandwidth = np.array([spans[k].ase.optical_bandwidth_GHz for k in phys])
+    nsp = np.array([s.ase.nsp for s in spans])
+    bandwidth = np.array([s.ase.optical_bandwidth_GHz for s in spans])
     nu = SPEED_OF_LIGHT_M_S / (wavelength_nm * 1e-9)
-    ase_w = (2.0 * nsp * PLANCK_J_S)[:, None] * nu * (gain - 1.0) * (bandwidth * 1e9)[:, None]
-    ase[phys] = np.where(clamped, 0.0, ase_w * 1e3)
-    return ase
+    excess = np.maximum(gain - 1.0, 0.0)  # exactly 0 where a span clamps
+    ase_w = (2.0 * nsp * PLANCK_J_S)[:, None] * nu * excess * (bandwidth * 1e9)[:, None]
+    return np.where(np.isnan(fixed), ase_w * 1e3, fixed)
 
 
 def build_system_matrix(
@@ -239,20 +232,20 @@ def build_system_matrix(
         C_l = cumprod over spans of G_l * L_l   (K x N, gain * loss)
         W_l = ASE_l / (P_l * C_l)               (K x N, ASE and output power P_l in mW)
         T_l = C_l[-1]                           (N, whole-link transmission)
-        M_l = W_l.T @ (C_l * on_l)              (N x N)
-    on_l marks the channels routed over l. For the rows R of the channels
-    sharing one route, at each link l of it in order, with the |R| x N
-    prefix starting at 1:
-        gamma[R] += prefix * M_l[R]
-        prefix[i, j] *= T_l[j] / T_l[i]
-    Each span's row of C_l is first scaled by a power of two that puts its
-    largest entry under 1. That is exact and cancels in W_l C_l and in T_l's
-    ratios, and it keeps W_l out of the subnormal range when a tiny ASE
-    meets a large cumulative gain. A channel's ASE on a link under
+    A stage is a route prefix p = (l_1, ..., l_t) that begins at least one
+    channel's route; R_p are the rows of those channels, and
+    tau_p = T_l_1 * ... * T_l_t-1 (all ones when t = 1) is the
+    transmission of every channel before l = l_t. Each stage adds one
+    product of inner dimension K:
+        gamma[R_p] += (W_l[:, R_p] / tau_p[R_p]).T @ (C_l * on_l * tau_p)
+    on_l marks the channels routed over l, the union of R_p over the stages
+    that end at l. Each span's row of C_l is first scaled by a power of two
+    that puts its largest entry under 1. That is exact and cancels in W_l C_l
+    and in tau's ratios, and it keeps W_l out of the subnormal range when a
+    tiny ASE meets a large cumulative gain. A channel's ASE on a link under
     TINY_ASE_MW is summed apart, scaled by a power of two, so that each
     entry rounds into the subnormal range once. Only routed links are
-    evaluated, at every wavelength, because the prefix needs T_l for every
-    column.
+    evaluated, at every wavelength, because tau_p needs T_l for every column.
     Warns once per span whose gain is < 1 for a channel routed through it.
     Bad channel lists (ValidationError) and unknown links (TopologyError)
     raise before any evaluation.
@@ -266,18 +259,20 @@ def build_system_matrix(
     members: dict[tuple[int, ...], list[int]] = {}
     for i, c in enumerate(channels):
         members.setdefault(c.route, []).append(i)
-    rows_by_route = {route: np.array(rows) for route, rows in members.items()}
-    links = {lid: network.link(lid) for route in rows_by_route for lid in route}
+    stages: dict[tuple[int, ...], list[int]] = {}  # each prefix before those extending it
+    for route, rows in members.items():
+        for t in range(1, len(route) + 1):
+            stages.setdefault(route[:t], []).extend(rows)
+    links = {p[-1]: network.link(p[-1]) for p in stages}
     on = {lid: np.zeros(n, dtype=bool) for lid in links}
-    for route, rows in rows_by_route.items():
-        for lid in route:
-            on[lid][rows] = True
+    for p, rows in stages.items():
+        on[p[-1]][rows] = True
 
     wl = np.array([c.wavelength_nm for c in channels])
     id_of = np.array(ids, dtype=object)  # the ids as given, gathered per link
     cum, ase = {}, {}
     for lid, link in links.items():
-        gain = np.array([db_to_linear(s.gain_profile.gain_db(wl)) for s in link.spans])
+        gain = db_to_linear(np.array([s.gain_profile.gain_db(wl) for s in link.spans]))
         loss = db_to_linear(-np.array([s.loss_dB for s in link.spans]))
         c_l = np.cumprod(gain * loss[:, None], axis=0)
         cum[lid] = np.ldexp(c_l, -np.frexp(c_l.max(axis=1))[1][:, None])
@@ -285,19 +280,19 @@ def build_system_matrix(
         ase[lid] = np.zeros_like(c_l)
         ase[lid][:, rows] = _ase_mw(link.spans, wl[rows], gain[:, rows], id_of[rows])
 
+    # per stage: its rows, its link, tau_p over the rows and the right
+    # factor; tau_p extends its parent's by one link
+    terms, tau = [], {}
+    for p, rows in stages.items():
+        tau[p] = tau[p[:-1]] * cum[p[-2]][-1] if len(p) > 1 else np.ones(n)
+        lid, rows = p[-1], np.array(rows)
+        terms.append((rows, lid, tau[p][rows], cum[lid] * (on[lid] * tau[p])))
+
     def couple(ase: dict) -> np.ndarray:
-        coupling = {
-            lid: (ase[lid] / (link.output_power_mW * cum[lid])).T @ (cum[lid] * on[lid])
-            for lid, link in links.items()
-        }
+        weight = {lid: ase[lid] / (link.output_power_mW * cum[lid]) for lid, link in links.items()}
         gamma = np.zeros((n, n))
-        for route, rows in rows_by_route.items():
-            acc, prefix = coupling[route[0]][rows], 1.0
-            for prev, lid in zip(route, route[1:]):
-                t_prev = cum[prev][-1]
-                prefix = prefix * (t_prev / t_prev[rows][:, None])
-                acc += prefix * coupling[lid][rows]
-            gamma[rows] = acc
+        for rows, lid, tau_rows, right in terms:
+            gamma[rows] += (weight[lid][:, rows] / tau_rows).T @ right
         return gamma
 
     top = {lid: a.max(axis=0) for lid, a in ase.items()}

@@ -99,8 +99,8 @@ class ChannelSystem:
     off it, b_i = gamma_i n0_i. The player and seeker blocks are the row
     selections A[is_player] and A[~is_player]. matrix and partition are the
     inputs the system was assembled from. A is factored at most once; the
-    factors are cached on the system, as are its diagonal and its absolute
-    row sums.
+    factors are cached on the system, as are its diagonal, its absolute
+    row sums and its contraction factor sigma.
     """
 
     A: np.ndarray
@@ -135,6 +135,14 @@ class ChannelSystem:
         """sum_j |A_ij| for each row i: the dominance conditions, the
         contraction factor and the inf-norm of A all read it."""
         return _frozen(np.abs(self.A).sum(axis=1))
+
+    @cached_property
+    def sigma(self) -> float:
+        """Worst-row contraction factor of the Jacobi update: the largest row
+        sum of |D^-1 (A - D)| with D the diagonal of A; inf when D has a 0,
+        because the update is then undefined and nothing contracts."""
+        diag = np.abs(self.diagonal)
+        return float(np.max((self.abs_row_sums - diag) / diag)) if diag.all() else np.inf
 
     @cached_property
     def _lu(self) -> tuple[tuple | None, float]:

@@ -412,10 +412,26 @@ _SUBNORMAL_ON_ONE_LINK = (
 )
 
 
+def _six_spans(center_nm):
+    gain = GainProfile(shape="parabolic", peak_gain_dB=35.0, center_nm=center_nm,
+                       curvature_dB_per_nm2=0.05)
+    return (Span(gain, 5.0, AseParams(nsp=1.5)),) * 6
+
+
+# three-link routes over gain peaks 40 nm apart: gamma spans 1e-56 to 1e86
+_WIDE_RANGE_STAGES = (
+    LinkNetwork(links=tuple(Link(id=lid, output_power_mW=1.0, spans=_six_spans(center))
+                            for lid, center in ((1, 1530.0), (2, 1530.0), (3, 1570.0)))),
+    [channel(100, wl=1570.0, route=(1, 2, 3)), channel(101, wl=1530.0, route=(1, 2, 3)),
+     channel(102, wl=1550.0, route=(3, 2, 1)), channel(103, wl=1569.0, route=(2, 3))],
+)
+
+
 class TestLoopOracle:
     @given(case=routed_networks())
     @example(case=_SUBNORMAL_ASE)
     @example(case=_SUBNORMAL_ON_ONE_LINK)
+    @example(case=_WIDE_RANGE_STAGES)
     @settings(max_examples=60, deadline=None)
     @pytest.mark.filterwarnings("ignore:amplifier gain < 1")
     def test_matches_loop(self, case):

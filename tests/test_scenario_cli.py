@@ -403,6 +403,17 @@ class TestSigmaStatedOnce:
         assert math.isinf(sigma) == (base is ZERO_DIAGONAL_DOC)
         assert report["feasibility"]["sigma"] == (None if math.isinf(sigma) else sigma)
 
+    def test_computed_once_per_run(self, monkeypatch):
+        # the demo iterates, and its first step misses tol: the convergence
+        # test reads the system's sigma, which the feasibility check computed
+        calls = []
+        rate = osnrgame.iterate.convergence_rate
+        monkeypatch.setattr(osnrgame.iterate, "convergence_rate",
+                            lambda system: calls.append(system) or rate(system))
+        report = execute(demo30_scenario())
+        assert report.trace.converged_at > 1
+        assert len(calls) == 1
+
 
 class TestEmit:
     def test_json_byte_stable(self, tmp_path):
