@@ -239,13 +239,14 @@ def build_system_matrix(
     product of inner dimension K:
         gamma[R_p] += (W_l[:, R_p] / tau_p[R_p]).T @ (C_l * on_l * tau_p)
     on_l marks the channels routed over l, the union of R_p over the stages
-    that end at l. Each span's row of C_l is first scaled by a power of two
-    that puts its largest entry under 1. That is exact and cancels in W_l C_l
-    and in tau's ratios, and it keeps W_l out of the subnormal range when a
-    tiny ASE meets a large cumulative gain. A channel's ASE on a link under
-    TINY_ASE_MW is summed apart, scaled by a power of two, so that each
-    entry rounds into the subnormal range once. Only routed links are
-    evaluated, at every wavelength, because tau_p needs T_l for every column.
+    that end at l. Each span's row of C_l, and each tau_p, is scaled by a
+    power of two that puts its largest entry under 1. That is exact and
+    cancels in W_l C_l and between the two factors. It keeps W_l normal when
+    a tiny ASE meets a large cumulative gain, and tau_p from underflowing on
+    a long route over links that peak at other wavelengths. A channel's ASE
+    on a link under TINY_ASE_MW is summed apart, scaled by a power of two,
+    so that each entry rounds into the subnormal range once. Only routed
+    links are evaluated, at every wavelength: tau_p needs T_l in every column.
     Warns once per span whose gain is < 1 for a channel routed through it.
     Bad channel lists (ValidationError) and unknown links (TopologyError)
     raise before any evaluation.
@@ -281,10 +282,11 @@ def build_system_matrix(
         ase[lid][:, rows] = _ase_mw(link.spans, wl[rows], gain[:, rows], id_of[rows])
 
     # per stage: its rows, its link, tau_p over the rows and the right
-    # factor; tau_p extends its parent's by one link
+    # factor; tau_p extends its parent's by one link, scaled into [0.5, 1)
     terms, tau = [], {}
     for p, rows in stages.items():
-        tau[p] = tau[p[:-1]] * cum[p[-2]][-1] if len(p) > 1 else np.ones(n)
+        t = tau[p[:-1]] * cum[p[-2]][-1] if len(p) > 1 else np.ones(n)
+        tau[p] = np.ldexp(t, -np.frexp(t.max())[1])
         lid, rows = p[-1], np.array(rows)
         terms.append((rows, lid, tau[p][rows], cum[lid] * (on[lid] * tau[p])))
 

@@ -426,12 +426,23 @@ _WIDE_RANGE_STAGES = (
      channel(102, wl=1550.0, route=(3, 2, 1)), channel(103, wl=1569.0, route=(2, 3))],
 )
 
+# fifteen links whose gain peaks alternate 40 nm apart: the product of their
+# transmissions falls below the smallest float at 1530 nm, while the ratios
+# gamma needs stay near 1e168
+_ALTERNATING_PEAKS = (
+    LinkNetwork(links=tuple(Link(id=lid, output_power_mW=1.0, spans=_six_spans(center))
+                            for lid, center in enumerate([1530.0, 1570.0] * 7 + [1550.0], 1))),
+    [channel(100 + k, wl=wl, route=tuple(range(1, 16)))
+     for k, wl in enumerate((1530.0, 1550.0, 1570.0))],
+)
+
 
 class TestLoopOracle:
     @given(case=routed_networks())
     @example(case=_SUBNORMAL_ASE)
     @example(case=_SUBNORMAL_ON_ONE_LINK)
     @example(case=_WIDE_RANGE_STAGES)
+    @example(case=_ALTERNATING_PEAKS)
     @settings(max_examples=60, deadline=None)
     @pytest.mark.filterwarnings("ignore:amplifier gain < 1")
     def test_matches_loop(self, case):
